@@ -43,7 +43,7 @@ Session::Session(topo::SimNetwork& network,
   }
 
   // Let registrations settle before the first measurement.
-  network_.run_events();
+  network_.events().run();
 }
 
 void Session::reconnect_worker(std::size_t index) {
@@ -68,7 +68,7 @@ MeasurementResults Session::run(const MeasurementSpec& spec,
   span.set_attr("mode", spec.mode == ProbeMode::kAnycast ? "anycast" : "unicast");
   measurements_total_[static_cast<std::size_t>(spec.protocol)]->add();
   submit(spec, targets);
-  network_.run_events();
+  network_.events().run();
   return cli_->take_results();
 }
 

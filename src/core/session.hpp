@@ -37,7 +37,7 @@ class Session {
                          const std::vector<net::IpAddress>& targets);
 
   /// Submit without pumping the event loop (async use: failure injection
-  /// mid-measurement). Drive with network().run_events() and read
+  /// mid-measurement). Drive with network().events().run() and read
   /// cli().results() once cli().finished().
   void submit(const MeasurementSpec& spec,
               const std::vector<net::IpAddress>& targets);

@@ -64,8 +64,8 @@ class Worker {
   // protocols are suppressed (an old firmware that cannot send them).
   // Throttling: each scheduled probe is independently suppressed with
   // `skip_probability`, keyed on (salt, target, measurement) — pure packet
-  // identity, so suppression replays bit-for-bit at any shard count and
-  // across checkpoint/resume. Suppressed probes still count down
+  // identity, so suppression replays bit-for-bit, including across
+  // checkpoint/resume. Suppressed probes still count down
   // `scheduled_unsent`, so the measurement completes normally with fewer
   // packets (credit contention, not an outage). Defaults are exact no-ops.
   void set_capability_mask(std::uint8_t mask) { capability_mask_ = mask; }

@@ -206,8 +206,6 @@ FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
   return ring;
 }
 
-void FlightRecorder::bind_thread_ring() { ring_for_this_thread(); }
-
 void FlightRecorder::record(FrEvent kind, std::uint16_t code, std::uint64_t a,
                             std::uint32_t b) {
   if (!enabled()) return;

@@ -121,12 +121,6 @@ class FlightRecorder {
   void record(FrEvent kind, std::uint16_t code = 0, std::uint64_t a = 0,
               std::uint32_t b = 0);
 
-  /// Eagerly registers the calling thread's ring. Shard worker threads call
-  /// this from their init hook so ring indices are assigned in shard order
-  /// (deterministic (wall_ns, ring, seq) merges) rather than by whichever
-  /// thread records first.
-  void bind_thread_ring();
-
   /// Rings registered (one per thread that ever recorded here).
   std::size_t ring_count() const {
     return ring_count_.load(std::memory_order_acquire);

@@ -183,7 +183,10 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Entry& entry_for(std::string_view name, Labels&& labels, MetricKind kind);
+  /// Get-or-create the entry and, on creation, its instrument (`bounds`
+  /// only for histograms), all under `mutex_`.
+  Entry& entry_for(std::string_view name, Labels&& labels, MetricKind kind,
+                   std::vector<double> bounds = {});
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::size_t> index_;  // key -> entries_ slot

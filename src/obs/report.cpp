@@ -285,40 +285,6 @@ std::string cache_section(const MetricsSnapshot& metrics) {
   return "Cache effectiveness\n" + table.render();
 }
 
-/// Sharded-simulator telemetry (the laces_sim_* gauges SimNetwork publishes
-/// after each drained run). Empty for sequential runs, so single-threaded
-/// reports are byte-identical to the pre-sharding format.
-std::string parallelism_section(const MetricsSnapshot& metrics) {
-  const double shards = metrics.value("laces_sim_shards");
-  if (shards <= 1.0) return "";
-
-  TextTable table({"Simulator parallelism", "Value"});
-  table.add_row({"event-loop shards",
-                 with_commas(static_cast<std::int64_t>(shards))});
-  table.add_row({"barrier epochs",
-                 with_commas(static_cast<std::int64_t>(
-                     metrics.value("laces_sim_epochs_total")))});
-  table.add_row({"cross-shard events",
-                 with_commas(static_cast<std::int64_t>(
-                     metrics.value("laces_sim_cross_shard_events_total")))});
-  const double cancels =
-      metrics.value("laces_sim_cross_shard_cancels_total");
-  if (cancels > 0) {
-    table.add_row({"cross-shard cancels",
-                   with_commas(static_cast<std::int64_t>(cancels))});
-  }
-  table.add_row({"barrier stall",
-                 fixed(metrics.value("laces_sim_barrier_stall_ms_total"), 1) +
-                     "ms"});
-  table.add_row({"pending events (live/total)",
-                 with_commas(static_cast<std::int64_t>(metrics.value(
-                     "laces_sim_pending_live_events"))) +
-                     " / " +
-                     with_commas(static_cast<std::int64_t>(metrics.value(
-                         "laces_sim_pending_events")))});
-  return "Simulator parallelism\n" + table.render();
-}
-
 /// Threshold health rules over the run's metrics. Each rule prints its
 /// observed value against the threshold and an OK / ALERT verdict; rules
 /// whose subsystem saw no traffic are skipped, so a census-only run shows
@@ -387,7 +353,7 @@ std::string render_run_report(const MetricsSnapshot& metrics,
         fault_section(metrics), scenario_section(metrics),
         canary_section(metrics),
         archive_section(metrics), cache_section(metrics),
-        parallelism_section(metrics), health_section(metrics)}) {
+        health_section(metrics)}) {
     if (!section.empty()) out += "\n" + section;
   }
   return out;

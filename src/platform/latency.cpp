@@ -135,7 +135,7 @@ LatencyResults measure_latency(topo::SimNetwork& network,
     });
   }
 
-  network.run_events();
+  network.events().run();
 
   for (auto& state : *states) network.detach(state.interface_id);
   results.probes_sent =

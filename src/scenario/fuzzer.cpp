@@ -126,16 +126,14 @@ struct CensusResult {
 /// sequence as run_series in tests/test_store_resume.cpp (which mirrors
 /// cmd_census), plus the ScenarioRunner bracketing each day.
 CensusResult run_census(const topo::World& world, const Scenario* scenario,
-                        std::uint32_t total_days, std::size_t shards,
-                        double targets_per_second, const fs::path* archive_dir,
-                        bool resume) {
+                        std::uint32_t total_days, double targets_per_second,
+                        const fs::path* archive_dir, bool resume) {
   obs::set_enabled(true);
   obs::Registry::global().reset();
   obs::Tracer::global().reset();
 
   EventQueue events;
   topo::SimNetwork network(world, events);
-  if (shards > 1) network.enable_sharding(shards);
   core::Session session(network, platform::make_production_deployment(world));
   census::PipelineConfig config;
   config.targets_per_second = targets_per_second;
@@ -308,10 +306,10 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
   // no-op when disabled" contract the golden-digest tests pin globally,
   // re-checked here against this sweep's world.
   watchdog.arm(0, "(scenario-off identity check)");
-  const auto plain = run_census(world, nullptr, options.days, 1,
+  const auto plain = run_census(world, nullptr, options.days,
                                 options.targets_per_second, nullptr, false);
   const Scenario empty_scenario;
-  const auto off = run_census(world, &empty_scenario, options.days, 1,
+  const auto off = run_census(world, &empty_scenario, options.days,
                               options.targets_per_second, nullptr, false);
   watchdog.disarm();
   if (off.digest() != plain.digest()) {
@@ -328,7 +326,7 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
     const std::string spec = scenario.to_spec();
     watchdog.arm(seed, spec);
 
-    const auto r1 = run_census(world, &scenario, options.days, 1,
+    const auto r1 = run_census(world, &scenario, options.days,
                                options.targets_per_second, nullptr, false);
     ++summary.ran;
     summary.regimes_applied += r1.regimes_applied;
@@ -351,7 +349,6 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
       continue;
     }
 
-    bool seed_ok = true;
     if (options.resume_check_every > 0 && options.days >= 2 &&
         i % options.resume_check_every == 0) {
       ++summary.resume_checks;
@@ -359,41 +356,24 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
       const auto golden_dir = fresh_dir(options.work_dir, tag + "-golden");
       const auto killed_dir = fresh_dir(options.work_dir, tag + "-killed");
       const auto golden =
-          run_census(world, &scenario, options.days, 1,
+          run_census(world, &scenario, options.days,
                      options.targets_per_second, &golden_dir, false);
       // Kill after the first day, resume the rest in a fresh "process".
-      run_census(world, &scenario, 1, 1, options.targets_per_second,
+      run_census(world, &scenario, 1, options.targets_per_second,
                  &killed_dir, false);
       const auto resumed =
-          run_census(world, &scenario, options.days, 1,
+          run_census(world, &scenario, options.days,
                      options.targets_per_second, &killed_dir, true);
       if (golden.digest() != r1.digest()) {
         fail(seed, spec, "archiving perturbed the census digest");
-        seed_ok = false;
       } else if (resumed.day_csv.back() != golden.day_csv.back()) {
         fail(seed, spec, "resumed run diverged from uninterrupted run");
-        seed_ok = false;
       } else if (const auto err = compare_archives(golden_dir, killed_dir,
                                                    options.days)) {
         fail(seed, spec, "resume byte-identity: " + *err);
-        seed_ok = false;
       }
       fs::remove_all(golden_dir);
       fs::remove_all(killed_dir);
-    }
-
-    if (seed_ok && options.shard_check_every > 0 && options.shard_count > 1 &&
-        i % options.shard_check_every == 0) {
-      ++summary.shard_checks;
-      const auto sharded =
-          run_census(world, &scenario, options.days, options.shard_count,
-                     options.targets_per_second, nullptr, false);
-      if (sharded.digest() != r1.digest()) {
-        fail(seed, spec,
-             "census digest differs at " +
-                 std::to_string(options.shard_count) + " shards: " +
-                 sharded.digest() + " vs " + r1.digest());
-      }
     }
 
     watchdog.disarm();

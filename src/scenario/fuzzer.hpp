@@ -12,9 +12,6 @@
 //   * resume byte-identity — periodically, a seed's series is re-run with
 //     a mid-series kill + --resume and the two archives are compared byte
 //     for byte (manifest, checkpoint, every segment);
-//   * shard equivalence — periodically, a seed's census is re-run at
-//     `shard_count` sim shards and the per-day CSV digest must match the
-//     1-shard run;
 //   * scenario-off identity — an empty scenario run must digest-match the
 //     plain baseline run (checked once per sweep).
 //
@@ -41,10 +38,6 @@ struct FuzzOptions {
   /// Every Nth seed additionally runs the kill-and-resume byte check
   /// (0 disables).
   int resume_check_every = 5;
-  /// Every Nth seed additionally runs the shard-equivalence check
-  /// (0 disables).
-  int shard_check_every = 7;
-  std::size_t shard_count = 4;
   /// Scratch directory for the resume checks' archives.
   std::filesystem::path work_dir = "fuzz-scenarios-work";
   /// World the censuses run against (generated once per sweep).
@@ -71,7 +64,6 @@ struct FuzzFailure {
 struct FuzzSummary {
   int ran = 0;
   int resume_checks = 0;
-  int shard_checks = 0;
   std::uint64_t regimes_applied = 0;
   std::uint64_t degraded_days = 0;
   std::uint64_t worker_outages = 0;

@@ -13,7 +13,7 @@
 // function of (seed, spec), parse/to_spec round-trip exactly, and every
 // stochastic choice a scenario induces at run time is keyed on packet or
 // entity identity — so a scenario run replays bit-for-bit, including
-// under --sim-threads sharding and across checkpoint/resume.
+// across checkpoint/resume.
 #pragma once
 
 #include <cstdint>

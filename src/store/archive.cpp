@@ -34,27 +34,6 @@ std::vector<std::uint8_t> read_file(const std::filesystem::path& path,
   return bytes;
 }
 
-/// Atomic write: the file either keeps its old content or has all the new
-/// bytes — a crash mid-write never leaves a torn file behind.
-void write_file_atomic(const std::filesystem::path& path,
-                       std::span<const std::uint8_t> bytes,
-                       const char* what) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw ArchiveError(std::string(what) + ": cannot write " + tmp.string());
-    }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw ArchiveError(std::string(what) + ": short write on " +
-                         tmp.string());
-    }
-  }
-  std::filesystem::rename(tmp, path);
-}
-
 std::uint32_t count_anycast_detected(const census::DailyCensus& census) {
   std::uint32_t n = 0;
   for (const auto& [prefix, rec] : census.records) {

@@ -2,10 +2,32 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 
 #include "util/sha256.hpp"
 
 namespace laces::store {
+
+void write_file_atomic(const std::filesystem::path& path,
+                       std::span<const std::uint8_t> bytes, const char* what) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    throw ArchiveError(std::string(what) + ": cannot write " + tmp.string());
+  }
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  // Small files sit entirely in the stream buffer until close() flushes
+  // it, so the check must follow the close, not the write.
+  out.close();
+  if (!out) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw ArchiveError(std::string(what) + ": write failed for " +
+                       tmp.string());
+  }
+  std::filesystem::rename(tmp, path);
+}
 
 std::string segment_file_name(std::uint32_t day) {
   char buf[32];

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -47,6 +48,14 @@ class ArchiveError : public std::runtime_error {
 /// lists — the common case: segment record keys — cost ~2 bytes/prefix.
 void put_prefix_list(ByteWriter& w, std::span<const net::Prefix> prefixes);
 std::vector<net::Prefix> get_prefix_list(ByteReader& r);
+
+/// Atomic write: `path` either keeps its old content or holds all of
+/// `bytes`. The bytes go to "<path>.tmp", which is closed (flushing the
+/// stream buffer) and checked before it is renamed over `path`, so a failed
+/// write or flush (full disk, file-size limit) throws ArchiveError naming
+/// `what` and never puts a truncated file in place.
+void write_file_atomic(const std::filesystem::path& path,
+                       std::span<const std::uint8_t> bytes, const char* what);
 
 /// Appends a SHA-256 digest over everything written so far; the footer of
 /// every binary archive file.

@@ -44,14 +44,11 @@ std::string Manifest::render() const {
 }
 
 void Manifest::save(const std::filesystem::path& path) const {
-  const auto tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw ArchiveError("manifest: cannot write " + tmp);
-    out << render();
-    if (!out) throw ArchiveError("manifest: write failed for " + tmp);
-  }
-  std::filesystem::rename(tmp, path);
+  const std::string text = render();
+  write_file_atomic(
+      path,
+      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()},
+      "manifest");
 }
 
 namespace {

@@ -1,9 +1,6 @@
 #include "topo/network.hpp"
 
 #include "net/responder.hpp"
-#include "obs/flightrec.hpp"
-#include "obs/metrics.hpp"
-#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace laces::topo {
@@ -38,49 +35,7 @@ std::uint64_t flow_hash_of(const net::Datagram& datagram) {
 
 SimNetwork::SimNetwork(const World& world, EventQueue& events,
                        NetworkConfig config)
-    : world_(world), events_(events), config_(config), shard_states_(1) {}
-
-void SimNetwork::enable_sharding(std::size_t shards) {
-  expects(engine_ == nullptr, "enable_sharding called once");
-  expects(shards >= 1, "at least one shard");
-  const SimDuration lookahead = SimDuration::from_seconds(
-      world_.routing().config().hop_latency_ms / 1e3);
-  engine_ = std::make_unique<ShardedLoop>(
-      events_, shards, lookahead, [](std::size_t) {
-        // Deterministic flight-recorder ring order: shard k's thread gets
-        // the (k-th) next ring id, so merged dumps order identically
-        // run-to-run.
-        obs::FlightRecorder::global().bind_thread_ring();
-      });
-  shard_states_.resize(shards);
-}
-
-std::size_t SimNetwork::run_events() {
-  if (!engine_) return events_.run();
-  const std::size_t executed = engine_->run();
-  publish_engine_gauges();
-  return executed;
-}
-
-void SimNetwork::publish_engine_gauges() {
-  auto& registry = obs::Registry::global();
-  registry.gauge("laces_sim_shards")
-      .set(static_cast<double>(engine_->shards()));
-  registry.gauge("laces_sim_epochs_total")
-      .set(static_cast<double>(engine_->epochs()));
-  registry.gauge("laces_sim_cross_shard_events_total")
-      .set(static_cast<double>(engine_->cross_shard_events()));
-  registry.gauge("laces_sim_cross_shard_cancels_total")
-      .set(static_cast<double>(engine_->cross_shard_cancels()));
-  registry.gauge("laces_sim_barrier_stall_ms_total")
-      .set(static_cast<double>(engine_->barrier_stall_ns()) / 1e6);
-  // Per-shard queue accounting summed across shards — after a drained
-  // run() both must be 0 live (canceled stubs may linger per shard).
-  registry.gauge("laces_sim_pending_events")
-      .set(static_cast<double>(engine_->pending()));
-  registry.gauge("laces_sim_pending_live_events")
-      .set(static_cast<double>(engine_->pending_live()));
-}
+    : world_(world), events_(events), config_(config) {}
 
 void SimNetwork::rebuild_view(LocalAddress& local) {
   local.view.id = local.pseudo_id;
@@ -148,32 +103,11 @@ std::uint64_t SimNetwork::response_salt_of(std::uint64_t probe_salt) {
   return h.value();
 }
 
-std::uint64_t SimNetwork::responses_generated() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shard_states_) total += s.responses_generated;
-  return total;
-}
-
-std::uint64_t SimNetwork::overlay_flips() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shard_states_) total += s.overlay_flips;
-  return total;
-}
-
 bool SimNetwork::drop_packet(std::uint64_t salt) {
   if (config_.loss <= 0.0) return false;
   StableHash h(0x1055);
   h.mix(salt);
   return h.unit() < config_.loss;
-}
-
-std::size_t SimNetwork::shard_of(const net::IpAddress& dst) const {
-  if (!engine_ || engine_->shards() <= 1) return 0;
-  // Census-prefix granularity, so a target's rate-limit / CHAOS / flow
-  // state always lives on exactly one shard no matter which VP probes it.
-  StableHash h(0x5a4d);
-  h.mix(net::hash_value(net::Prefix::of(dst)));
-  return 1 + static_cast<std::size_t>(h.value() % (engine_->shards() - 1));
 }
 
 void SimNetwork::send(const net::Datagram& datagram, const AttachPoint& from) {
@@ -183,24 +117,22 @@ void SimNetwork::send(const net::Datagram& datagram, const AttachPoint& from) {
   if (drop_packet(salt)) return;
   // One hash lookup decides local-vs-target and hands the entry onward.
   if (const LocalAddress* local = local_.find(datagram.dst)) {
-    deliver_local(*local, datagram, from, salt, events_.now());
+    deliver_local(*local, datagram, from, salt);
   } else {
     deliver_to_target(datagram, from, fh, salt);
   }
 }
 
 void SimNetwork::respond_local(const net::Datagram& datagram,
-                               const AttachPoint& from, std::uint64_t salt,
-                               SimTime when) {
+                               const AttachPoint& from, std::uint64_t salt) {
   const LocalAddress* local = local_.find(datagram.dst);
   if (local == nullptr) return;
-  deliver_local(*local, datagram, from, salt, when);
+  deliver_local(*local, datagram, from, salt);
 }
 
 void SimNetwork::deliver_local(const LocalAddress& local,
                                const net::Datagram& datagram,
-                               const AttachPoint& from, std::uint64_t salt,
-                               SimTime when) {
+                               const AttachPoint& from, std::uint64_t salt) {
   if (local.endpoints.empty()) return;
 
   std::size_t choice = 0;
@@ -209,7 +141,7 @@ void SimNetwork::deliver_local(const LocalAddress& local,
     // deployment view maintained on attach/detach.
     const std::uint64_t fh = flow_hash_of(datagram);
     choice = world_.routing()
-                 .select_pop(from, local.view, day_, when, fh,
+                 .select_pop(from, local.view, day_, events_.now(), fh,
                              next_flow_seq(fh ^ local.pseudo_id),
                              local.catchment)
                  .pop_index;
@@ -218,8 +150,8 @@ void SimNetwork::deliver_local(const LocalAddress& local,
   const Endpoint& ep = local.endpoints[choice];
   const std::uint64_t ep_id = ep.id;
   const SimDuration delay = world_.routing().one_way_delay(
-      from, ep.attach, salt, shard_states_[0].caches);
-  events_.schedule_at(when + delay, [this, datagram, ep_id]() {
+      from, ep.attach, salt, caches_);
+  events_.schedule_after(delay, [this, datagram, ep_id]() {
     // Re-resolve: the interface may have detached while in flight (R5).
     const LocalAddress* addr = local_.find(datagram.dst);
     if (addr == nullptr) return;
@@ -241,10 +173,9 @@ void SimNetwork::deliver_to_target(const net::Datagram& datagram,
   if (target == nullptr) return;
   if (world_.target_down(*target, day_)) return;
   if (overlay_ != nullptr && !overlay_->empty()) {
-    // Scenario data-plane regimes, evaluated on shard 0 in send order so
-    // they are a pure function of packet identity: hitlist churn (the
-    // prefix is withdrawn all day) and path-scoped loss (the forward path
-    // eats the probe; the target looks unresponsive).
+    // Scenario data-plane regimes, a pure function of packet identity:
+    // hitlist churn (the prefix is withdrawn all day) and path-scoped loss
+    // (the forward path eats the probe; the target looks unresponsive).
     const std::uint64_t pfx = net::hash_value(net::Prefix::of(datagram.dst));
     if (overlay_->target_withdrawn(pfx, day_)) {
       ++overlay_withdrawn_;
@@ -265,72 +196,33 @@ void SimNetwork::deliver_to_target(const net::Datagram& datagram,
     dep = &world_.deployment(*target->backing_deployment);
   }
 
-  // The per-flow ECMP counter is consumed here, in send order on shard 0,
-  // so round-robin paths see the same packet sequence at any shard count.
-  const std::uint64_t packet_seq = next_flow_seq(flow_hash ^ dep->id);
+  // A scenario route-flip window forces the second-best PoP for its
+  // scoped flows — keyed on (salt, flow, dep).
   const SimTime departed = events_.now();
-  const std::size_t shard = shard_of(datagram.dst);
-  if (shard == 0) {
-    target_ingress(datagram, from, flow_hash, salt, packet_seq, dep->id,
-                   target, 0, departed);
-    return;
-  }
-  const DeploymentId dep_id = dep->id;
-  const Target* tgt = target;
-  engine_->post(0, shard, departed + engine_->epoch(),
-                [this, datagram, from, flow_hash, salt, packet_seq, dep_id,
-                 tgt, shard, departed]() {
-                  target_ingress(datagram, from, flow_hash, salt, packet_seq,
-                                 dep_id, tgt, shard, departed);
-                });
-}
-
-void SimNetwork::target_ingress(const net::Datagram& datagram,
-                                const AttachPoint& from,
-                                std::uint64_t flow_hash, std::uint64_t salt,
-                                std::uint64_t packet_seq, DeploymentId dep_id,
-                                const Target* target, std::size_t shard,
-                                SimTime departed) {
-  ShardState& state = shard_states_[shard];
-  const Deployment& dep = world_.deployment(dep_id);
-  // `departed` (not now()) drives route-flip epochs: the choice belongs to
-  // the moment the packet left, which on a cross-shard hop is earlier than
-  // the time this code runs. A scenario route-flip window forces the
-  // second-best PoP for its scoped flows — keyed on (salt, flow, dep), so
-  // the flip is identical at any shard count.
+  const std::uint64_t packet_seq = next_flow_seq(flow_hash ^ dep->id);
   const bool force_flip =
-      overlay_ != nullptr && overlay_->flip_forced(flow_hash, dep_id, departed);
+      overlay_ != nullptr && overlay_->flip_forced(flow_hash, dep->id, departed);
   const auto ingress =
       force_flip ? world_.routing().select_pop_flipped(
-                       from, dep, day_, departed, flow_hash, packet_seq,
-                       state.caches)
-                 : world_.routing().select_pop(from, dep, day_, departed,
-                                               flow_hash, packet_seq,
-                                               state.caches);
-  if (force_flip && ingress.was_flipped) ++state.overlay_flips;
+                       from, *dep, day_, departed, flow_hash, packet_seq,
+                       caches_)
+                 : world_.routing().select_pop(from, *dep, day_, departed,
+                                               flow_hash, packet_seq, caches_);
+  if (force_flip && ingress.was_flipped) ++overlay_flips_;
   const SimDuration d1 = world_.routing().one_way_delay(
-      from, dep.pops[ingress.pop_index].attach, salt, state.caches);
-  if (shard != 0) {
-    // Lookahead soundness: the probe must not arrive before the epoch
-    // boundary it crossed shards at. Holds for any connected AS graph
-    // (>= 1 forwarding hop each way, jitter strictly positive).
-    expects(d1 >= engine_->epoch(), "one-way delay covers the shard epoch");
-  }
+      from, dep->pops[ingress.pop_index].attach, salt, caches_);
+  const DeploymentId dep_id = dep->id;
   const std::size_t ingress_pop = ingress.pop_index;
-  const SimTime arrival = departed + d1;
-  shard_queue(shard).schedule_at(
-      arrival, [this, datagram, dep_id, ingress_pop, target, salt, shard,
-                arrival]() {
-        target_serve(datagram, dep_id, ingress_pop, target, salt, shard,
-                     arrival);
+  events_.schedule_after(
+      d1, [this, datagram, dep_id, ingress_pop, target, salt]() {
+        target_serve(datagram, dep_id, ingress_pop, target, salt);
       });
 }
 
 void SimNetwork::target_serve(const net::Datagram& datagram,
                               DeploymentId dep_id, std::size_t ingress_pop,
-                              const Target* target, std::uint64_t salt,
-                              std::size_t shard, SimTime arrival) {
-  ShardState& state = shard_states_[shard];
+                              const Target* target, std::uint64_t salt) {
+  const SimTime arrival = events_.now();
   const Deployment& d = world_.deployment(dep_id);
 
   // The PoP that serves the request and the PoP the response re-enters
@@ -344,12 +236,12 @@ void SimNetwork::target_serve(const net::Datagram& datagram,
     egress = world_.routing().egress_pop(d, ingress_pop);
     internal = world_.routing().one_way_delay(d.pops[ingress_pop].attach,
                                               d.pops[d.home_pop].attach,
-                                              salt ^ 0x1, state.caches);
+                                              salt ^ 0x1, caches_);
     if (egress != d.home_pop) {
       internal = internal + world_.routing().one_way_delay(
                                 d.pops[d.home_pop].attach,
                                 d.pops[egress].attach, salt ^ 0x2,
-                                state.caches);
+                                caches_);
     }
   }
 
@@ -357,13 +249,13 @@ void SimNetwork::target_serve(const net::Datagram& datagram,
   const bool is_icmp = datagram.ip_protocol == 1 || datagram.ip_protocol == 58;
   if (is_icmp && config_.rate_limit_drop > 0.0) {
     const std::uint64_t key = target_pop_key(target->address, serve_pop);
-    SimTime* last = state.last_arrival.find(key);
+    SimTime* last = last_arrival_.find(key);
     const bool too_fast =
         last != nullptr && arrival - *last < config_.rate_limit_window;
     if (last != nullptr) {
       *last = arrival;
     } else {
-      state.last_arrival.insert_or_assign(key, arrival);
+      last_arrival_.insert_or_assign(key, arrival);
     }
     if (too_fast) {
       StableHash h(0x2a7e);
@@ -378,35 +270,22 @@ void SimNetwork::target_serve(const net::Datagram& datagram,
   const auto& chaos = d.pops[serve_pop].chaos_values;
   if (!chaos.empty()) {
     const std::uint64_t key = target_pop_key(target->address, serve_pop);
-    cfg.chaos_value = chaos[state.chaos_rotation[key]++ % chaos.size()];
+    cfg.chaos_value = chaos[chaos_rotation_[key]++ % chaos.size()];
   }
   const auto response = net::craft_response(datagram, cfg);
   if (!response) return;
-  ++state.responses_generated;
+  ++responses_generated_;
 
   const std::uint64_t response_salt = response_salt_of(salt);
   if (drop_packet(response_salt)) return;
   const AttachPoint origin = d.pops[egress].attach;
-  const SimTime reentry = arrival + internal;
-  if (shard != 0) {
-    // Back to the control-plane shard. The VP-side catchment choice uses
-    // the carried re-entry time, and merge order sorts by it, so per-flow
-    // counters are consumed exactly as the sequential loop consumes them.
-    const net::Datagram resp = *response;
-    engine_->post(shard, 0, reentry + engine_->epoch(),
-                  [this, resp, origin, response_salt, reentry]() {
-                    respond_local(resp, origin, response_salt, reentry);
-                  });
-    return;
-  }
   if (internal.ns() > 0) {
     const net::Datagram resp = *response;
-    events_.schedule_at(reentry, [this, resp, origin, response_salt,
-                                  reentry]() {
-      respond_local(resp, origin, response_salt, reentry);
+    events_.schedule_after(internal, [this, resp, origin, response_salt]() {
+      respond_local(resp, origin, response_salt);
     });
   } else {
-    respond_local(*response, origin, response_salt, reentry);
+    respond_local(*response, origin, response_salt);
   }
 }
 

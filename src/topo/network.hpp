@@ -7,33 +7,14 @@
 // given response. Probes to world targets are answered by the target's
 // ResponderConfig at whichever PoP the probe lands on.
 //
-// --- Sharded execution (enable_sharding) ---
-//
-// The per-target half of packet processing — catchment selection, delay
-// computation, rate limiting, CHAOS rotation, response crafting — is a
-// pure function of the immutable World plus small per-target state, so it
-// parallelizes: targets are partitioned over shards 1..S-1 by a stable
-// hash of their census prefix, while shard 0 (the caller's thread and
-// queue) keeps the entire control plane: orchestrator, workers, channels,
-// every send() and every locally-announced address. A probe then takes a
-// deterministic two-hop path
-//
-//   shard 0 send(t=tau)  --post-->  target shard: ingress choice + serve
-//                                    at tau + d1 (+ internal)
-//   target shard         --post-->  shard 0: VP catchment choice, handler
-//                                    delivery at t2 + d2
-//
-// where every stochastic quantity (loss, jitter, ECMP, flips, rate-limit
-// rolls) is a StableHash of packet identity — day, flow hash, per-flow
-// counter — never of execution order. Combined with ShardedLoop's
-// canonical merge order this makes census/trace/archive output
-// byte-identical at any shard count (the 1/2/4/8-shard equivalence tests),
-// and 1-shard mode byte-identical to the historical sequential loop.
+// Every stochastic quantity on a packet's path (loss, jitter, ECMP, flips,
+// rate-limit rolls) is a StableHash of packet identity — day, flow hash,
+// per-flow counter — never of global event order, so a census day is a
+// pure function of (world, day, carried measurement state).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/addr_map.hpp"
@@ -42,7 +23,6 @@
 #include "topo/world.hpp"
 #include "util/event_queue.hpp"
 #include "util/flat_map.hpp"
-#include "util/sharded_loop.hpp"
 
 namespace laces::topo {
 
@@ -71,8 +51,7 @@ class SimNetwork {
 
   /// Announce `addr` at `attach`; responses routed to `addr` whose
   /// catchment selects this site invoke `handler`. Returns an id usable
-  /// with detach() (worker-outage simulation, R5). Only ever touched from
-  /// shard 0 (the control plane), including under sharded execution.
+  /// with detach() (worker-outage simulation, R5).
   std::uint64_t attach(const net::IpAddress& addr, const AttachPoint& attach,
                        RxHandler handler);
 
@@ -83,20 +62,6 @@ class SimNetwork {
   /// Inject a datagram into the network at `from`. Typically a probe; the
   /// target's response (if any) is routed and delivered asynchronously.
   void send(const net::Datagram& datagram, const AttachPoint& from);
-
-  /// Partition target-side packet processing over `shards` event-loop
-  /// shards driven by run_events(). Call once, before any traffic;
-  /// `shards == 1` keeps everything on the caller's queue (and reproduces
-  /// the sequential byte stream trivially). The epoch lookahead is the
-  /// model's per-hop forwarding latency — the minimum time any packet
-  /// needs to cross between shards.
-  void enable_sharding(std::size_t shards);
-  std::size_t shards() const { return engine_ ? engine_->shards() : 1; }
-
-  /// Drive the simulation to quiescence: EventQueue::run() when unsharded,
-  /// the barrier-epoch loop over all shards otherwise. All session /
-  /// platform drive sites route through here. Returns events executed.
-  std::size_t run_events();
 
   /// The census day, gating temporary anycast and daily churn. Routing
   /// caches deliberately persist across days: cached values are pure
@@ -118,27 +83,23 @@ class SimNetwork {
 
   /// Install (or clear, with nullptr) the scenario data-plane overlay for
   /// the current day. The overlay must outlive event processing and may
-  /// only be swapped between run_events() calls — it is read concurrently
-  /// from target shards during a run, and the barrier between runs is the
-  /// happens-before edge that makes the swap safe.
+  /// only be swapped while the event queue is not running.
   void set_day_overlay(const DayOverlay* overlay) { overlay_ = overlay; }
   const DayOverlay* day_overlay() const { return overlay_; }
 
   SimTime now() const { return events_.now(); }
   EventQueue& events() { return events_; }
   const World& world() const { return world_; }
-  /// The sharded engine, when enabled (run-report telemetry).
-  const ShardedLoop* engine() const { return engine_.get(); }
 
   // --- counters (probing-cost accounting, Table 5) ---
   std::uint64_t packets_sent() const { return packets_sent_; }
-  std::uint64_t responses_generated() const;
+  std::uint64_t responses_generated() const { return responses_generated_; }
   std::uint64_t deliveries() const { return deliveries_; }
 
   // --- scenario-overlay counters (run-report "Scenario" section) ---
   std::uint64_t overlay_withdrawn() const { return overlay_withdrawn_; }
   std::uint64_t overlay_path_lost() const { return overlay_path_lost_; }
-  std::uint64_t overlay_flips() const;
+  std::uint64_t overlay_flips() const { return overlay_flips_; }
 
  private:
   struct Endpoint {
@@ -158,76 +119,51 @@ class SimNetwork {
     mutable FlatMap64<RoutingModel::Ranking> catchment;
   };
 
-  /// Mutable per-shard simulation state. Shard 0's entry doubles as the
-  /// state of the sequential loop; entries 1..S-1 are owned by their
-  /// worker threads during a run. Routing caches are per shard (cache
-  /// *content* then differs per shard, but every cached value is a pure
-  /// function of the immutable world, so routed outcomes do not).
-  struct ShardState {
-    RoutingModel::Caches caches;
-    FlatMap64<SimTime> last_arrival;          // ICMP rate limiting, per target
-    FlatMap64<std::uint64_t> chaos_rotation;  // per (target, pop)
-    std::uint64_t responses_generated = 0;
-    std::uint64_t overlay_flips = 0;  // scenario route-flips on this shard
-  };
-
   static void rebuild_view(LocalAddress& local);
   /// Catchment choice + delivery scheduling for a locally announced
-  /// address. `when` is the packet's departure time toward the VP: equal
-  /// to now() on the sequential path, carried explicitly when the response
-  /// crossed shards (so route-flip epochs and the delivery timestamp are
-  /// independent of when the event executes).
+  /// address; the packet leaves toward the VP at now().
   void deliver_local(const LocalAddress& local, const net::Datagram& datagram,
-                     const AttachPoint& from, std::uint64_t salt, SimTime when);
+                     const AttachPoint& from, std::uint64_t salt);
   void respond_local(const net::Datagram& datagram, const AttachPoint& from,
-                     std::uint64_t salt, SimTime when);
+                     std::uint64_t salt);
+  /// Target-side hop 1: data-plane regimes, ingress PoP choice and serve
+  /// scheduling, at the probe's send() time.
   void deliver_to_target(const net::Datagram& datagram,
                          const AttachPoint& from, std::uint64_t flow_hash,
                          std::uint64_t salt);
-  /// Target-side hop 1: ingress PoP choice and serve scheduling. Runs on
-  /// `shard` (inline on shard 0 when unsharded). `departed` is the probe's
-  /// send() time.
-  void target_ingress(const net::Datagram& datagram, const AttachPoint& from,
-                      std::uint64_t flow_hash, std::uint64_t salt,
-                      std::uint64_t packet_seq, DeploymentId dep_id,
-                      const Target* target, std::size_t shard,
-                      SimTime departed);
-  /// Target-side hop 2: rate limiting, response crafting, egress. Runs on
-  /// `shard` at `arrival`.
+  /// Target-side hop 2: rate limiting, response crafting, egress, at the
+  /// probe's arrival time.
   void target_serve(const net::Datagram& datagram, DeploymentId dep_id,
                     std::size_t ingress_pop, const Target* target,
-                    std::uint64_t salt, std::size_t shard, SimTime arrival);
+                    std::uint64_t salt);
   std::uint64_t next_flow_seq(std::uint64_t flow_hash);
   /// Per-packet loss/jitter salt: a stable hash of (day, flow hash,
-  /// per-flow send counter) — pure packet identity, no global ordering, so
-  /// any partition of the packet stream over shards rolls the same dice.
+  /// per-flow send counter) — pure packet identity, no global ordering.
   std::uint64_t next_packet_salt(std::uint64_t flow_hash);
   static std::uint64_t response_salt_of(std::uint64_t probe_salt);
   bool drop_packet(std::uint64_t salt);
-  /// Which shard serves this destination (stable hash of its census
-  /// prefix; 0 when unsharded).
-  std::size_t shard_of(const net::IpAddress& dst) const;
-  EventQueue& shard_queue(std::size_t shard) {
-    return shard == 0 ? events_ : engine_->queue(shard);
-  }
-  void publish_engine_gauges();
 
   const World& world_;
   EventQueue& events_;
   NetworkConfig config_;
-  std::unique_ptr<ShardedLoop> engine_;
-  std::vector<ShardState> shard_states_;
+  /// Routing caches: every cached value is a pure function of the
+  /// immutable world, so they persist across days.
+  RoutingModel::Caches caches_;
+  FlatMap64<SimTime> last_arrival_;          // ICMP rate limiting, per target
+  FlatMap64<std::uint64_t> chaos_rotation_;  // per (target, pop)
   std::uint32_t day_ = 0;
   std::uint64_t next_interface_id_ = 1;
   net::AddrMap<LocalAddress> local_;
   FlatMap64<net::IpAddress> iface_addr_;  // interface id -> announced addr
   FlatMap64<std::uint64_t> flow_seq_;
-  FlatMap64<std::uint64_t> send_seq_;  // per-flow salt counter (shard 0)
+  FlatMap64<std::uint64_t> send_seq_;  // per-flow salt counter
   std::uint64_t packets_sent_ = 0;
   std::uint64_t deliveries_ = 0;
+  std::uint64_t responses_generated_ = 0;
   const DayOverlay* overlay_ = nullptr;
-  std::uint64_t overlay_withdrawn_ = 0;  // shard 0 only
-  std::uint64_t overlay_path_lost_ = 0;  // shard 0 only
+  std::uint64_t overlay_withdrawn_ = 0;
+  std::uint64_t overlay_path_lost_ = 0;
+  std::uint64_t overlay_flips_ = 0;
 };
 
 /// Hash of the flow headers only (addresses, protocol, ports / ICMP id) —

@@ -7,11 +7,10 @@
 // hitlist churn (targets that vanish between days). Every check is a pure
 // function of packet identity (flow hash, packet salt, prefix hash, day)
 // and the window's salt — never of execution order — so overlaid runs
-// stay byte-identical at any --sim-threads shard count.
+// replay byte-identically, including across checkpoint/resume.
 //
 // The overlay pointer is read-only during event processing and is only
-// swapped between run_events calls (the sharded loop's barrier provides
-// the happens-before edge), so no synchronization is needed.
+// swapped while the event queue is not running.
 #pragma once
 
 #include <cstdint>

@@ -274,19 +274,13 @@ RoutingModel::Ranking RoutingModel::scan_pops(const AttachPoint& from,
       second_score = s;
     }
   };
-  if (dep.pop_city.size() == dep.pops.size()) {
-    // SoA fast path: 4 sequential bytes per PoP (see Deployment::pop_city).
-    const std::uint16_t* cities = dep.pop_city.data();
-    const std::uint16_t* upstreams = dep.pop_upstream.data();
-    for (std::size_t i = 0; i < dep.pops.size(); ++i) {
-      consider(i, cities[i], upstreams[i]);
-    }
-  } else {
-    // Layout not finalized (hand-built deployments in tests): same
-    // arithmetic over the AoS fields.
-    for (std::size_t i = 0; i < dep.pops.size(); ++i) {
-      consider(i, dep.pops[i].attach.city, dep.pops[i].attach.upstream);
-    }
+  // 4 sequential bytes per PoP (see Deployment::pop_city).
+  expects(dep.pop_city.size() == dep.pops.size(),
+          "deployment layout finalized before the catchment scan");
+  const std::uint16_t* cities = dep.pop_city.data();
+  const std::uint16_t* upstreams = dep.pop_upstream.data();
+  for (std::size_t i = 0; i < dep.pops.size(); ++i) {
+    consider(i, cities[i], upstreams[i]);
   }
   r.best_score = best_score;
   r.second_score = second_score;

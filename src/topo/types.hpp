@@ -79,7 +79,8 @@ struct Deployment {
   /// RoutingModel construction), so a scan over thousands of PoPs streams
   /// 4 bytes per PoP instead of striding over Pop objects that drag each
   /// chaos_values vector header through the cache. Rebuilt by
-  /// finalize_layout(); empty (and ignored by the scan) until then.
+  /// finalize_layout(), which every deployment must call before its first
+  /// catchment scan.
   std::vector<std::uint16_t> pop_city;
   std::vector<std::uint16_t> pop_upstream;
   /// kGlobalBgpUnicast: index into `pops` of the real (home) server site.

@@ -111,27 +111,4 @@ std::size_t EventQueue::run_until(SimTime deadline) {
   return executed;
 }
 
-std::size_t EventQueue::run_window(SimTime end) {
-  std::size_t executed = 0;
-  while (!heap_.empty() && heap_.front().at < end) {
-    if (discard_if_canceled()) continue;
-    SimTime at;
-    Callback cb = pop_min(at);
-    now_ns_.store(at.ns(), std::memory_order_relaxed);
-    cb();
-    ++executed;
-  }
-  // Deliberately no clamp of now() to `end`: an idle window must leave the
-  // shard clock where its last event ran, so messages merged afterwards
-  // (timestamped >= the window end by the lookahead contract) are always
-  // scheduled in this shard's future.
-  return executed;
-}
-
-SimTime EventQueue::next_event_time() {
-  while (!heap_.empty() && discard_if_canceled()) {
-  }
-  return heap_.empty() ? kSimTimeMax : heap_.front().at;
-}
-
 }  // namespace laces

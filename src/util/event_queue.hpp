@@ -33,9 +33,6 @@ namespace laces {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Sentinel "no pending event" timestamp (EventQueue::next_event_time).
-inline constexpr SimTime kSimTimeMax = SimTime(0x7fffffffffffffffLL);
-
 /// Timestamp-ordered callback queue driving simulated time.
 class EventQueue {
  public:
@@ -43,8 +40,7 @@ class EventQueue {
 
   /// Current simulated time. Readable from any thread (relaxed; free on
   /// mainstream ISAs): the flight recorder stamps sim_ns from whichever
-  /// thread records, including sharded-loop workers observing shard 0's
-  /// clock. All mutation stays on the thread driving the queue.
+  /// thread records. All mutation stays on the thread driving the queue.
   SimTime now() const {
     return SimTime(now_ns_.load(std::memory_order_relaxed));
   }
@@ -71,17 +67,6 @@ class EventQueue {
   /// Run until the queue drains or simulated time would exceed `deadline`;
   /// events after the deadline stay queued. Returns events executed.
   std::size_t run_until(SimTime deadline);
-
-  /// Run every event with timestamp strictly before `end` (a barrier-epoch
-  /// window of the sharded loop). Unlike run_until(), now() is NOT advanced
-  /// when the window is idle: a shard's clock only moves when it executes,
-  /// so cross-shard messages merged later can never land in a shard's past.
-  std::size_t run_window(SimTime end);
-
-  /// Timestamp of the earliest live (non-canceled) pending event, or
-  /// kSimTimeMax when none; canceled stubs at the heap top are discarded.
-  /// The sharded loop uses this to pick the next epoch window start.
-  SimTime next_event_time();
 
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }

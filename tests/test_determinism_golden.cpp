@@ -33,9 +33,7 @@ namespace {
 
 /// Census CSV digest (updates when measurement behaviour changes — last:
 /// per-packet loss/jitter salts became pure functions of packet identity
-/// (day, flow hash, per-flow counter) instead of a global send counter, the
-/// partition-invariance property the sharded event loop's byte-identical
-/// guarantee rests on).
+/// (day, flow hash, per-flow counter) instead of a global send counter).
 constexpr const char* kCensusDigest =
     "0323fe22fa8ee449c2ec90ec520690fa7c469788d733dac658e93bdaa2595f72";
 /// Prometheus metrics digest (updates when the metric surface changes —

@@ -2,8 +2,8 @@
 // joins at day 0 and applies every delta chunk reconstructs any
 // completed day byte-identically to the offline archive export — and to
 // the served JSON — including across a mid-series disconnect/reconnect
-// with cursor resume, with the publisher running the real sharded
-// census pipeline. Plus: priority classes flush high-priority first,
+// with cursor resume, with the publisher running the real census
+// pipeline. Plus: priority classes flush high-priority first,
 // family/prefix filters scope the feed without breaking cursor
 // continuity, stale cursors fall back to the archive at the origin and
 // are refused with a typed SubAck at a pure relay, and day commits roll
@@ -82,7 +82,7 @@ RelayConfig relay_config(std::uint64_t node_id) {
   return config;
 }
 
-// --- the acceptance-criteria test: real pipeline, 4 shards, 2-hop chain,
+// --- the acceptance-criteria test: real pipeline, 2-hop chain,
 // disconnect/reconnect mid-series, byte-identity per day ---
 
 TEST(MeshPubSub, SubscriberReconstructsEveryDayByteIdentically) {
@@ -105,11 +105,10 @@ TEST(MeshPubSub, SubscriberReconstructsEveryDayByteIdentically) {
   // Day-0 subscriber at the tail.
   CensusFollower follower(c);
 
-  // The real census pipeline on 4 event-loop shards is the publisher.
+  // The real census pipeline is the publisher.
   const auto& world = laces::testing::shared_tiny_world();
   EventQueue events;
   topo::SimNetwork network(world, events);
-  network.enable_sharding(4);
   core::Session session(network, platform::make_production_deployment(world));
   census::PipelineConfig config;
   config.targets_per_second = 50000;

@@ -15,7 +15,6 @@
 
 #include "obs/flightrec.hpp"
 #include "util/event_queue.hpp"
-#include "util/sharded_loop.hpp"
 
 namespace laces::obs {
 namespace {
@@ -142,47 +141,6 @@ TEST(FlightRecorder, MultiThreadMergeIsDeterministic) {
   for (std::size_t i = 1; i < a.size(); ++i) {
     const auto& x = a[i - 1];
     const auto& y = a[i];
-    EXPECT_TRUE(x.record.wall_ns < y.record.wall_ns ||
-                (x.record.wall_ns == y.record.wall_ns &&
-                 (x.ring < y.ring || (x.ring == y.ring && x.seq < y.seq))));
-  }
-}
-
-TEST(FlightRecorder, ShardedLoopRingsAssignedInShardOrder) {
-  // The sharded simulator binds each worker thread's ring through the
-  // sequenced thread_init hook, so shard k's events always land in ring k
-  // (shard 0 = driving thread = ring 0) no matter which OS thread starts
-  // first — making merged dumps reproducible run to run.
-  FlightRecorder rec;
-  rec.set_capacity(64);
-  rec.record(FrEvent::kMarker);  // bind the driving thread to ring 0 first
-
-  EventQueue q;
-  ShardedLoop loop(q, 4, SimDuration(100), [&rec](std::size_t) {
-    rec.bind_thread_ring();
-  });
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    loop.queue(shard).schedule_at(SimTime(10), [&rec, shard] {
-      rec.record(FrEvent::kResultBatch, static_cast<std::uint16_t>(shard));
-    });
-    loop.queue(shard).schedule_at(SimTime(20), [&rec, shard] {
-      rec.record(FrEvent::kHeartbeat, static_cast<std::uint16_t>(shard));
-    });
-  }
-  loop.run();
-
-  ASSERT_EQ(rec.ring_count(), 4u);
-  const auto tail = rec.merged_tail(0);
-  ASSERT_EQ(tail.size(), 9u);
-  for (const auto& ev : tail) {
-    if (static_cast<FrEvent>(ev.record.kind) == FrEvent::kMarker) continue;
-    // Shard number == ring number, exactly.
-    EXPECT_EQ(ev.ring, ev.record.code);
-  }
-  // The multi-shard merge still respects the documented order.
-  for (std::size_t i = 1; i < tail.size(); ++i) {
-    const auto& x = tail[i - 1];
-    const auto& y = tail[i];
     EXPECT_TRUE(x.record.wall_ns < y.record.wall_ns ||
                 (x.record.wall_ns == y.record.wall_ns &&
                  (x.ring < y.ring || (x.ring == y.ring && x.seq < y.seq))));

@@ -1,8 +1,8 @@
 // laces_scenario: grammar round trips, positioned parse errors, generator
 // determinism, runner no-op identity when disabled, byte-identity across
-// sim shard counts and checkpoint/resume under an active scenario, and a
-// miniature fuzzer sweep. Everything here rests on the same contract as
-// the fault plans: a scenario is a pure function of (seed, spec).
+// checkpoint/resume under an active scenario, and a miniature fuzzer
+// sweep. Everything here rests on the same contract as the fault plans: a
+// scenario is a pure function of (seed, spec).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -144,11 +144,10 @@ struct SeriesResult {
   std::uint64_t regimes_applied = 0;
 };
 
-/// One simulated process, optionally under a scenario, optionally sharded,
-/// optionally archiving/resuming. Mirrors run_series in
-/// tests/test_store_resume.cpp plus the ScenarioRunner day bracketing.
+/// One simulated process, optionally under a scenario, optionally
+/// archiving/resuming. Mirrors run_series in tests/test_store_resume.cpp
+/// plus the ScenarioRunner day bracketing.
 SeriesResult run_series(const Scenario* scenario, std::uint32_t total_days,
-                        std::size_t shards = 1,
                         const fs::path* archive_dir = nullptr,
                         bool resume = false) {
   obs::set_enabled(true);
@@ -158,7 +157,6 @@ SeriesResult run_series(const Scenario* scenario, std::uint32_t total_days,
   const auto& world = laces::testing::shared_tiny_world();
   EventQueue events;
   topo::SimNetwork network(world, events);
-  if (shards > 1) network.enable_sharding(shards);
   core::Session session(network, platform::make_production_deployment(world));
   census::PipelineConfig config;
   config.targets_per_second = 50000;
@@ -247,27 +245,16 @@ TEST(ScenarioRunner, ActiveScenarioChangesTheCensus) {
   EXPECT_NE(under.day_csv[1], plain.day_csv[1]);
 }
 
-TEST(ScenarioRunner, ByteIdenticalAcrossShardCounts) {
-  const auto scenario = Scenario::parse(kFullSpec, 5);
-  const auto sequential = run_series(&scenario, 2, /*shards=*/1);
-  const auto sharded = run_series(&scenario, 2, /*shards=*/4);
-  for (std::uint32_t day = 1; day <= 2; ++day) {
-    ASSERT_FALSE(sequential.day_csv[day].empty());
-    EXPECT_EQ(sharded.day_csv[day], sequential.day_csv[day])
-        << "day " << day;
-  }
-}
-
 TEST(ScenarioRunner, KilledAndResumedScenarioSeriesIsByteIdentical) {
   constexpr std::uint32_t kDays = 3;
   const auto scenario = Scenario::parse(kFullSpec, 5);
   const auto golden_dir = fresh_dir("scenario_resume_golden");
   const auto killed_dir = fresh_dir("scenario_resume_killed");
 
-  const auto golden = run_series(&scenario, kDays, 1, &golden_dir);
-  run_series(&scenario, /*total_days=*/1, 1, &killed_dir);
+  const auto golden = run_series(&scenario, kDays, &golden_dir);
+  run_series(&scenario, /*total_days=*/1, &killed_dir);
   const auto resumed =
-      run_series(&scenario, kDays, 1, &killed_dir, /*resume=*/true);
+      run_series(&scenario, kDays, &killed_dir, /*resume=*/true);
 
   for (std::uint32_t day = 2; day <= kDays; ++day) {
     EXPECT_EQ(resumed.day_csv[day], golden.day_csv[day]) << "day " << day;
@@ -290,13 +277,10 @@ TEST(ScenarioFuzzer, MiniSweepFindsNoViolations) {
   opts.days = 2;
   opts.timeout_seconds = 0;  // gtest owns the timeout here
   opts.resume_check_every = 2;  // seed index 0 gets the resume check
-  opts.shard_check_every = 2;   // ... and the shard check
-  opts.shard_count = 2;
   opts.work_dir = fresh_dir("scenario_fuzz_work");
   const auto summary = run_fuzz(opts);
   EXPECT_EQ(summary.ran, 2);
   EXPECT_EQ(summary.resume_checks, 1);
-  EXPECT_EQ(summary.shard_checks, 1);
   for (const auto& f : summary.failures) {
     ADD_FAILURE() << "seed " << f.seed << " spec '" << f.spec << "': "
                   << f.what;

@@ -2,7 +2,9 @@
 // segment cache, CSV bridging in both directions, write-twice determinism,
 // checkpoint round-trips and corruption reporting.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -211,9 +213,10 @@ TEST(StoreArchive, VerifyDetectsSizeMismatch) {
   EXPECT_EQ(ArchiveReader(dir).verify().size(), 1u);
 }
 
-TEST(StoreArchive, ManifestRoundTripsAndNamesBadLines) {
+/// A manifest of `days` synthetic entries.
+Manifest make_manifest(std::uint32_t days) {
   Manifest manifest;
-  for (std::uint32_t day = 1; day <= 3; ++day) {
+  for (std::uint32_t day = 1; day <= days; ++day) {
     ManifestEntry entry;
     entry.day = day;
     entry.degraded = day == 2;
@@ -226,6 +229,11 @@ TEST(StoreArchive, ManifestRoundTripsAndNamesBadLines) {
     entry.file = segment_file_name(day);
     manifest.entries.push_back(entry);
   }
+  return manifest;
+}
+
+TEST(StoreArchive, ManifestRoundTripsAndNamesBadLines) {
+  const Manifest manifest = make_manifest(3);
   const auto text = manifest.render();
   const auto parsed = Manifest::parse(text);
   ASSERT_EQ(parsed.entries.size(), 3u);
@@ -242,6 +250,39 @@ TEST(StoreArchive, ManifestRoundTripsAndNamesBadLines) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(StoreArchive, ManifestSaveThatFailsToFlushKeepsTheOldManifest) {
+  const auto dir = fresh_dir("manifest_failed_flush");
+  const auto path = dir / kManifestFile;
+  const Manifest old_manifest = make_manifest(1);
+  old_manifest.save(path);
+  const auto before = slurp(path);
+
+  // The new manifest fits in the stream buffer, so its bytes reach the
+  // file only when the stream flushes. A file-size limit below its size
+  // makes that flush fail (EFBIG once SIGXFSZ is ignored).
+  const Manifest new_manifest = make_manifest(5);
+  const std::size_t size = new_manifest.render().size();
+  ASSERT_LT(size, 4096u);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = size / 2;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &low), 0);
+  bool threw = false;
+  try {
+    new_manifest.save(path);
+  } catch (const ArchiveError&) {
+    threw = true;
+  }
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(threw) << "a failed flush was renamed into place";
+  EXPECT_EQ(slurp(path), before);
+  EXPECT_EQ(Manifest::load(path).entries, old_manifest.entries);
 }
 
 TEST(StoreArchive, CheckpointRoundTrips) {

@@ -110,54 +110,6 @@ TEST(EventQueue, RunUntilAdvancesClockWhenIdle) {
   EXPECT_EQ(q.now().ns(), 1000);
 }
 
-TEST(EventQueue, RunWindowExecutesStrictlyBeforeEnd) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(SimTime(10), [&] { order.push_back(1); });
-  q.schedule_at(SimTime(20), [&] { order.push_back(2); });
-  q.schedule_at(SimTime(30), [&] { order.push_back(3); });
-  // The window is half-open: an event AT the end boundary belongs to the
-  // next window (epochs must not double-execute boundary events).
-  EXPECT_EQ(q.run_window(SimTime(20)), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(q.run_window(SimTime(31)), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, RunWindowDoesNotAdvanceClockWhenIdle) {
-  // Unlike run_until: an idle shard's clock must not jump to the epoch
-  // boundary, or a merged cross-shard event landing inside the window
-  // would be scheduled "in the past" and clamp.
-  EventQueue q;
-  q.schedule_at(SimTime(5), [] {});
-  q.run();
-  EXPECT_EQ(q.run_window(SimTime(1000)), 0u);
-  EXPECT_EQ(q.now(), SimTime(5));
-}
-
-TEST(EventQueue, RunWindowSkipsCanceledEvents) {
-  EventQueue q;
-  int fired = 0;
-  const EventId doomed = q.schedule_at(SimTime(10), [&] { fired += 100; });
-  q.schedule_at(SimTime(11), [&] { ++fired; });
-  q.cancel(doomed);
-  EXPECT_EQ(q.run_window(SimTime(20)), 1u);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, NextEventTimeSeesThroughCanceledStubs) {
-  EventQueue q;
-  EXPECT_EQ(q.next_event_time(), kSimTimeMax);
-  const EventId early = q.schedule_at(SimTime(10), [] {});
-  q.schedule_at(SimTime(50), [] {});
-  EXPECT_EQ(q.next_event_time(), SimTime(10));
-  // Canceling the head must expose the next live event, not the stub.
-  q.cancel(early);
-  EXPECT_EQ(q.next_event_time(), SimTime(50));
-  q.run();
-  EXPECT_EQ(q.next_event_time(), kSimTimeMax);
-}
-
 TEST(InlineCallback, SmallCapturesStayInline) {
   std::array<unsigned char, kInlineCallbackSize - 8> small{};
   InlineCallback cb{[small] { (void)small; }};

@@ -158,8 +158,7 @@ int cmd_world(const Args& args) {
 /// Canonical identity of a census run: every knob that changes the
 /// simulated byte stream. Stamped into each checkpoint so --resume can
 /// refuse a mismatched continuation instead of silently forking the
-/// series. --sim-threads is deliberately absent (sharding is
-/// byte-identical by contract), as are output paths.
+/// series. Output paths are deliberately absent.
 std::string census_run_identity(const Args& args) {
   std::string id;
   id += "seed=" + args.get("seed", "42");
@@ -181,12 +180,6 @@ int cmd_census(const Args& args) {
   const auto world = topo::World::generate(world_config(args));
   EventQueue events;
   topo::SimNetwork network(world, events);
-  // --sim-threads N runs the simulator on N event-loop shards (target-side
-  // processing parallelised; outputs stay byte-identical to --sim-threads 1).
-  const long sim_threads = args.get_int("sim-threads", 1);
-  if (sim_threads > 1) {
-    network.enable_sharding(static_cast<std::size_t>(sim_threads));
-  }
   core::Session session(network, platform::make_production_deployment(world));
 
   // Flight recorder: always on, bounded memory. The signal path means a
@@ -312,7 +305,7 @@ int cmd_census(const Args& args) {
         // so draining one no-op parked at the checkpointed time advances
         // the queue exactly there.
         events.schedule_at(SimTime(cp.sim_time_ns), [] {});
-        network.run_events();
+        events.run();
         pipeline.restore_state(cp.pipeline);
         for (std::size_t i = 0;
              i < cp.worker_rng.size() && i < session.worker_count(); ++i) {
@@ -1411,19 +1404,16 @@ int cmd_fuzz_scenarios(const Args& args) {
       std::max(args.get_int("days", 2), 1L));
   opts.timeout_seconds = static_cast<double>(args.get_int("timeout", 120));
   opts.resume_check_every = static_cast<int>(args.get_int("resume-every", 5));
-  opts.shard_check_every = static_cast<int>(args.get_int("shard-every", 7));
-  opts.shard_count = static_cast<std::size_t>(
-      std::max(args.get_int("sim-threads", 4), 1L));
   opts.work_dir =
       std::filesystem::path(args.get("work-dir", "fuzz-scenarios-work"));
   opts.verbose = args.has("verbose");
   std::filesystem::create_directories(opts.work_dir);
 
   const auto summary = scenario::run_fuzz(opts);
-  std::printf("fuzz-scenarios: %d seeds (%d resume checks, %d shard checks): "
+  std::printf("fuzz-scenarios: %d seeds (%d resume checks): "
               "%llu regime applications, %llu degraded days, %llu worker "
               "outages\n",
-              summary.ran, summary.resume_checks, summary.shard_checks,
+              summary.ran, summary.resume_checks,
               static_cast<unsigned long long>(summary.regimes_applied),
               static_cast<unsigned long long>(summary.degraded_days),
               static_cast<unsigned long long>(summary.worker_outages));
@@ -1436,7 +1426,7 @@ int cmd_fuzz_scenarios(const Args& args) {
         "fuzz-scenarios: seed %llu FAILED: %s\n"
         "  spec: %s\n"
         "  reproduce: laces fuzz-scenarios --start-seed %llu --seeds 1 "
-        "--days %u --resume-every 1 --shard-every 1\n",
+        "--days %u --resume-every 1\n",
         static_cast<unsigned long long>(f.seed), f.what.c_str(),
         f.spec.c_str(), static_cast<unsigned long long>(f.seed), opts.days);
   }
@@ -1450,7 +1440,7 @@ void usage() {
                "[options]\n"
                "  world      --seed N --scale K\n"
                "  census     --days N --out DIR --v6 --no-tcp --no-dns --rate R\n"
-               "             --sim-threads N --world-scale K\n"
+               "             --world-scale K\n"
                "             --metrics-out FILE --trace-out FILE --canary\n"
                "             --faults 'SPEC|random' --fault-seed N\n"
                "             (SPEC: 'kind@start[+dur][:site=N|all|cli,p=X,"
@@ -1484,9 +1474,8 @@ void usage() {
                "             [--clients M] [--requests N] [--mesh N] [--json]\n"
                "  flightrec  DUMP   (decode a flight-recorder dump to JSONL)\n"
                "  fuzz-scenarios [--seeds N] [--start-seed S] [--days D]\n"
-               "             [--timeout SECS] [--resume-every K] "
-               "[--shard-every K]\n"
-               "             [--sim-threads N] [--work-dir DIR] [--verbose]\n");
+               "             [--timeout SECS] [--resume-every K]\n"
+               "             [--work-dir DIR] [--verbose]\n");
 }
 
 }  // namespace
