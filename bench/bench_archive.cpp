@@ -98,6 +98,8 @@ int main(int argc, char** argv) {
       read_secs > 0 ? static_cast<double>(bytes_read) / kMiB / read_secs : 0.0;
 
   std::ofstream(json_path) << "{\n"
+                           << "  \"mode\": \""
+                           << (short_mode ? "short" : "full") << "\",\n"
                            << "  \"archive_write_mb_s\": " << write_mb_s
                            << ",\n"
                            << "  \"archive_read_mb_s\": " << read_mb_s

@@ -115,6 +115,7 @@ int main(int argc, char** argv) {
 
   std::ofstream(json_path)
       << "{\n"
+      << "  \"mode\": \"" << (short_mode ? "short" : "full") << "\",\n"
       << "  \"mesh_deltas_per_sec\": " << deltas_per_sec << ",\n"
       << "  \"mesh_push_p50_ms\": " << p50 << ",\n"
       << "  \"mesh_push_p999_ms\": " << p999 << "\n"

@@ -285,11 +285,12 @@ ScaledNumbers measure_scaled_census(bool short_mode) {
   return out;
 }
 
-void write_bench_json(const char* path, double events_per_sec,
-                      const CensusNumbers& census,
+void write_bench_json(const char* path, bool short_mode,
+                      double events_per_sec, const CensusNumbers& census,
                       const ScaledNumbers& scaled) {
   std::ofstream out(path);
   out << "{\n"
+      << "  \"mode\": \"" << (short_mode ? "short" : "full") << "\",\n"
       << "  \"events_per_sec\": " << events_per_sec << ",\n"
       << "  \"packets_per_sec\": " << census.packets_per_sec << ",\n"
       << "  \"census_day_wall_ms\": " << census.census_day_wall_ms << ",\n"
@@ -312,7 +313,7 @@ int main(int argc, char** argv) {
   const double events_per_sec = measure_events_per_sec(short_mode);
   const CensusNumbers census = measure_census(short_mode);
   const ScaledNumbers scaled = measure_scaled_census(short_mode);
-  write_bench_json(json_path, events_per_sec, census, scaled);
+  write_bench_json(json_path, short_mode, events_per_sec, census, scaled);
   std::printf(
       "BENCH_pipeline.json: events_per_sec=%.3g packets_per_sec=%.3g "
       "census_day_wall_ms=%.3g scaled_census_day_wall_ms=%.3g cores=%u "

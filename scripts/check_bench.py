@@ -15,6 +15,10 @@ scripts/bench_baseline_serve.json). Metrics absent from the chosen
 baseline are reported but not gated, so the one METRICS table serves every
 result file.
 
+Results and baseline must come from the same bench mode: the benches write
+"mode": "short" (LACES_BENCH_SHORT=1, a smaller workload) or "full", and a
+file whose mode differs from the baseline's is refused rather than compared.
+
 Usage:
     scripts/check_bench.py BENCH_pipeline.json [--baseline scripts/bench_baseline.json]
                            [--max-regression 2.0]
@@ -71,6 +75,15 @@ def main() -> int:
         results = json.load(f)
     with open(args.baseline) as f:
         baseline = json.load(f)
+
+    if results.get("mode") != baseline.get("mode"):
+        print(
+            f"FAIL: {args.results} was measured in mode {results.get('mode')!r} "
+            f"but {args.baseline} in mode {baseline.get('mode')!r}; "
+            "rerun the bench in the baseline's mode",
+            file=sys.stderr,
+        )
+        return 1
 
     failures = []
     print(f"{'metric':<24} {'baseline':>14} {'current':>14} {'ratio':>8}")

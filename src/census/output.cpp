@@ -1,12 +1,19 @@
 #include "census/output.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace laces::census {
 namespace {
+
+template <class T>
+void append_number(std::string& line, T value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  line.append(buf, end);
+}
 
 void append_protocol(std::string& line, const PrefixRecord& rec,
                      net::Protocol protocol) {
@@ -15,10 +22,10 @@ void append_protocol(std::string& line, const PrefixRecord& rec,
     line += ",n/a,0";
     return;
   }
-  line += ",";
+  line += ',';
   line += core::to_string(it->second.verdict);
-  line += ",";
-  line += std::to_string(it->second.vp_count);
+  line += ',';
+  append_number(line, it->second.vp_count);
 }
 
 }  // namespace
@@ -29,42 +36,80 @@ std::string csv_header() {
 }
 
 std::string to_csv(const PrefixRecord& rec) {
-  std::string line = rec.prefix.to_string();
+  std::string line;
+  line.reserve(96 + 24 * rec.gcd_locations.size());
+  line += rec.prefix.to_string();
   append_protocol(line, rec, net::Protocol::kIcmp);
   append_protocol(line, rec, net::Protocol::kTcp);
   append_protocol(line, rec, net::Protocol::kUdpDns);
-  line += ",";
+  line += ',';
   line += rec.gcd_verdict ? gcd::to_string(*rec.gcd_verdict) : "n/a";
-  line += ",";
-  line += std::to_string(rec.gcd_site_count);
-  line += rec.partial_anycast ? ",partial" : ",full";
-  line += ",";
+  line += ',';
+  append_number(line, rec.gcd_site_count);
+  line += rec.partial_anycast ? ",partial," : ",full,";
   for (std::size_t i = 0; i < rec.gcd_locations.size(); ++i) {
-    if (i > 0) line += "|";
+    if (i > 0) line += '|';
     const auto& city = geo::city(rec.gcd_locations[i]);
-    line += std::string(city.name) + "/" + std::string(city.country);
+    line += city.name;
+    line += '/';
+    line += city.country;
   }
   return line;
 }
 
-void write_census(std::ostream& out, const DailyCensus& census) {
-  out << "# LACeS census day " << census.day << "\n";
-  if (census.degraded) {
+std::string render_header(const PublicationHeader& header) {
+  std::string out = "# LACeS census day ";
+  append_number(out, header.day);
+  out += '\n';
+  if (header.degraded) {
     // Degraded days publish their (partial) records but carry the marker so
     // downstream longitudinal analysis can exclude them.
-    out << "# degraded: lost_sites=" << census.lost_sites
-        << " canary_alarms=" << census.canary_alarms << "\n";
+    out += "# degraded: lost_sites=";
+    append_number(out, header.lost_sites);
+    out += " canary_alarms=";
+    append_number(out, header.canary_alarms);
+    out += '\n';
   }
-  out << csv_header() << "\n";
-  for (const auto& prefix : census.published_prefixes()) {
-    out << to_csv(*census.find(prefix)) << "\n";
+  out += csv_header();
+  out += '\n';
+  return out;
+}
+
+std::size_t Publication::csv_bytes() const {
+  std::size_t bytes = render_header(header).size();
+  for (const auto& row : rows) bytes += row.line.size() + 1;
+  return bytes;
+}
+
+Publication render_publication(const DailyCensus& census) {
+  Publication pub;
+  pub.header = PublicationHeader{census.day, census.degraded,
+                                 census.lost_sites, census.canary_alarms};
+  const auto published = census.published_prefixes();
+  pub.rows.reserve(published.size());
+  for (const auto& prefix : published) {
+    pub.rows.push_back(PublicationRow{prefix, to_csv(*census.find(prefix))});
   }
+  return pub;
+}
+
+std::string render_census(const Publication& publication) {
+  std::string out;
+  out.reserve(publication.csv_bytes());
+  out += render_header(publication.header);
+  for (const auto& row : publication.rows) {
+    out += row.line;
+    out += '\n';
+  }
+  return out;
 }
 
 std::string render_census(const DailyCensus& census) {
-  std::ostringstream out;
-  write_census(out, census);
-  return out.str();
+  return render_census(render_publication(census));
+}
+
+void write_census(std::ostream& out, const DailyCensus& census) {
+  out << render_census(census);
 }
 
 namespace {

@@ -65,16 +65,16 @@ void Relay::attach_publisher(store::ArchiveWriter& writer) {
       // older cursors replay from the archive, not the log.
       store::ArchiveReader reader(archive_dir_, 1);
       const std::uint32_t day = reader.manifest().last_day();
-      prev_census_ = reader.load_day(day);
+      diff_base_ = census::render_publication(*reader.load_day(day));
       feed_started_ = true;
       latest_ = Cursor{day, kDayDone};
       log_complete_ = false;
     }
   }
-  writer.set_commit_hook([this](const store::ManifestEntry&,
-                                const census::DailyCensus& census) {
-    publish_census(census);
-  });
+  writer.set_commit_hook(
+      [this](const store::ManifestEntry&, census::Publication publication) {
+        publish(std::move(publication));
+      });
 }
 
 // --- framing helpers ---
@@ -84,6 +84,11 @@ std::vector<std::uint8_t> Relay::mesh_frame(const MeshMessage& message,
   return serve::encode_frame(config_.key, FrameKind::kMesh, request_id,
                              encode_mesh(message),
                              serve::kMeshProtocolVersion);
+}
+
+std::vector<std::uint8_t> Relay::mesh_frame(const DeltaChunk& chunk) const {
+  return serve::encode_frame(config_.key, FrameKind::kMesh, 0,
+                             encode_mesh(chunk), serve::kMeshProtocolVersion);
 }
 
 std::vector<std::uint8_t> Relay::error_frame(std::uint64_t request_id,
@@ -314,7 +319,7 @@ bool Relay::deliver(Relay* from, std::span<const std::uint8_t> frame) {
           } else if constexpr (std::is_same_v<T, Subscribe>) {
             handle_subscribe(*peer, std::move(m), out);
           } else if constexpr (std::is_same_v<T, DeltaChunk>) {
-            ok = handle_delta(*peer, m);
+            ok = handle_delta(*peer, std::move(m));
           } else if constexpr (std::is_same_v<T, SubAck>) {
             if (!m.ok && upstream_active_ &&
                 peer->node_id == upstream_node_) {
@@ -478,8 +483,8 @@ std::vector<std::uint8_t> Relay::query(std::span<const std::uint8_t> frame) {
 
 // --- pub/sub ---
 
-void Relay::append_log(const DeltaChunk& chunk) {
-  delta_log_.push_back(chunk);
+void Relay::append_log(DeltaChunk chunk) {
+  delta_log_.push_back(std::move(chunk));
   while (delta_log_.size() > config_.delta_log_chunks) {
     delta_log_.pop_front();
     log_complete_ = false;
@@ -489,8 +494,13 @@ void Relay::append_log(const DeltaChunk& chunk) {
 void Relay::push_to(Subscription& sub, const DeltaChunk& chunk) {
   const Cursor c{chunk.day, chunk.seq};
   if (sub.started && c <= sub.acked) return;  // already delivered
-  const DeltaChunk filtered =
-      filter_chunk(chunk, sub.spec.family, sub.spec.prefixes);
+  // Only a family or prefix filter needs a filtered copy of the rows.
+  const bool unfiltered = sub.spec.family == 0 && sub.spec.prefixes.empty();
+  DeltaChunk copy;
+  if (!unfiltered) {
+    copy = filter_chunk(chunk, sub.spec.family, sub.spec.prefixes);
+  }
+  const DeltaChunk& filtered = unfiltered ? chunk : copy;
   ++sub.chunks_pushed;
   ++deltas_forwarded_;
   pushed_counter_->add();
@@ -501,7 +511,7 @@ void Relay::push_to(Subscription& sub, const DeltaChunk& chunk) {
     Peer* p = find_peer(sub.peer);
     ++frames_sent_;
     if (p) ++p->deltas_sent;
-    delivered = sub.peer->deliver(this, mesh_frame(MeshMessage{filtered}));
+    delivered = sub.peer->deliver(this, mesh_frame(filtered));
   } else if (sub.sink) {
     sub.sink(filtered);
   }
@@ -550,20 +560,28 @@ bool Relay::replay_to(Subscription& sub) {
   if (archive_dir_.empty()) return false;  // pure relay, log evicted
   // Origin fallback: recompute the feed from the archive itself. Runs
   // under mu_ — subscription replay serializes against publishing, which
-  // is exactly what keeps the subscriber's chunk order exact.
-  store::ArchiveReader reader(archive_dir_, 2);
+  // is exactly what keeps the subscriber's chunk order exact. Each day is
+  // rendered once and is the next day's diff base.
+  store::ArchiveReader reader(archive_dir_, 1);
   const auto& entries = reader.manifest().entries;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::uint32_t day = entries[i].day;
-    if (have_cursor) {
-      if (day < cursor.day) continue;
-      if (day == cursor.day && cursor.seq == kDayDone) continue;
-    }
-    const auto prev = i > 0 ? reader.load_day(entries[i - 1].day) : nullptr;
-    const auto cur = reader.load_day(day);
-    const auto chunks = chunk_delta(store::compute_day_delta(prev.get(), *cur),
-                                    config_.max_rows_per_chunk);
+  const auto done = [&](std::uint32_t day) {
+    return have_cursor && (day < cursor.day || (day == cursor.day &&
+                                                cursor.seq == kDayDone));
+  };
+  std::size_t i = 0;
+  while (i < entries.size() && done(entries[i].day)) ++i;
+  std::optional<census::Publication> prev;
+  if (i > 0) {
+    prev = census::render_publication(*reader.load_day(entries[i - 1].day));
+  }
+  for (; i < entries.size(); ++i) {
+    census::Publication cur =
+        census::render_publication(*reader.load_day(entries[i].day));
+    const auto chunks =
+        chunk_delta(store::compute_day_delta(prev ? &*prev : nullptr, cur),
+                    config_.max_rows_per_chunk);
     for (const DeltaChunk& chunk : chunks) push_to(sub, chunk);
+    prev = std::move(cur);
   }
   return true;
 }
@@ -611,7 +629,7 @@ void Relay::handle_subscribe(Peer& from, Subscribe sub,
   }
 }
 
-bool Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
+bool Relay::handle_delta(Peer& from, DeltaChunk chunk) {
   ++from.deltas_received;
   const Cursor c{chunk.day, chunk.seq};
   if (feed_started_ && c <= latest_) {
@@ -622,9 +640,10 @@ bool Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
   }
   feed_started_ = true;
   latest_ = c;
-  append_log(chunk);
   push_chunk(chunk);  // fan through to our own subscribers
-  if (chunk.last && server_ != nullptr) {
+  const bool last = chunk.last;
+  append_log(std::move(chunk));
+  if (last && server_ != nullptr) {
     // A completed day changes every longitudinal answer and un-falsifies
     // cached unknown-day errors.
     server_->cache_mut().clear();
@@ -632,23 +651,25 @@ bool Relay::handle_delta(Peer& from, const DeltaChunk& chunk) {
   return true;
 }
 
-void Relay::publish_census(const census::DailyCensus& census) {
-  // Diff outside the lock: prev_census_ is only ever touched by the
-  // (single) appending thread, per ArchiveWriter's append discipline.
-  const store::DayDelta delta =
-      store::compute_day_delta(prev_census_.get(), census);
-  prev_census_ = std::make_shared<census::DailyCensus>(census);
-  const auto chunks = chunk_delta(delta, config_.max_rows_per_chunk);
+void Relay::publish(census::Publication publication) {
+  // Diff outside the lock: diff_base_ is only ever touched by the (single)
+  // appending thread, per ArchiveWriter's append discipline.
+  store::DayDelta delta = store::compute_day_delta(
+      diff_base_ ? &*diff_base_ : nullptr, publication);
+  diff_base_ = std::move(publication);
+  auto chunks = chunk_delta(std::move(delta), config_.max_rows_per_chunk);
   std::lock_guard lk(mu_);
-  for (const DeltaChunk& chunk : chunks) {
+  for (DeltaChunk& chunk : chunks) {
     feed_started_ = true;
     latest_ = Cursor{chunk.day, chunk.seq};
     ++deltas_published_;
     published_counter_->add();
     obs::FlightRecorder::global().record(obs::FrEvent::kDeltaPublished, 0,
                                          chunk.day, chunk.seq);
-    append_log(chunk);
+    // Subscribers never call back into this relay, so pushing before
+    // logging is the same as logging first, and the log keeps the chunk.
     push_chunk(chunk);
+    append_log(std::move(chunk));
   }
   if (server_ != nullptr) server_->cache_mut().clear();
 }

@@ -228,10 +228,10 @@ class Relay {
   void handle_subscribe(Peer& from, Subscribe sub, std::vector<Outgoing>& out);
   /// Returns false only on a day-order violation (never expected over a
   /// tree); duplicates return true so the pusher's cursor advances.
-  bool handle_delta(Peer& from, const DeltaChunk& chunk);
+  bool handle_delta(Peer& from, DeltaChunk chunk);
 
-  /// Commit-hook body: diff, chunk, log, fan out.
-  void publish_census(const census::DailyCensus& census);
+  /// Commit-hook body: diff against the previous day, chunk, fan out, log.
+  void publish(census::Publication publication);
   /// Fans one chunk to every subscription (priority desc, id asc) with
   /// per-subscription filtering; synchronous, mu_ held.
   void push_chunk(const DeltaChunk& chunk);
@@ -241,7 +241,7 @@ class Relay {
   bool replay_to(Subscription& sub);
   /// One filtered chunk to one subscription; synchronous, mu_ held.
   void push_to(Subscription& sub, const DeltaChunk& chunk);
-  void append_log(const DeltaChunk& chunk);
+  void append_log(DeltaChunk chunk);
 
   /// Answers a forwarded canonical request body via the local server.
   std::vector<std::uint8_t> answer_locally(
@@ -249,6 +249,8 @@ class Relay {
 
   std::vector<std::uint8_t> mesh_frame(const MeshMessage& message,
                                        std::uint64_t request_id = 0) const;
+  /// A delta frame encoded straight from the chunk.
+  std::vector<std::uint8_t> mesh_frame(const DeltaChunk& chunk) const;
   std::vector<std::uint8_t> error_frame(std::uint64_t request_id,
                                         serve::ErrorCode code,
                                         std::string message) const;
@@ -274,7 +276,8 @@ class Relay {
   Cursor latest_;              // newest applied/published position
   std::deque<DeltaChunk> delta_log_;  // bounded replay window
   bool log_complete_ = true;   // log still holds the feed from its start
-  std::shared_ptr<const census::DailyCensus> prev_census_;  // origin diff base
+  /// Origin diff base: the last committed day's publication.
+  std::optional<census::Publication> diff_base_;
   std::uint64_t upstream_node_ = 0;  // whom we subscribe to (0 = nobody yet)
   bool upstream_active_ = false;
   std::uint64_t upstream_sub_id_ = 0;

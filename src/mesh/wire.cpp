@@ -1,6 +1,7 @@
 #include "mesh/wire.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/bytes.hpp"
 
@@ -247,6 +248,13 @@ std::vector<std::uint8_t> encode_mesh(const MeshMessage& message) {
   return w.take();
 }
 
+std::vector<std::uint8_t> encode_mesh(const DeltaChunk& chunk) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(MeshTag::kDelta));
+  put_body(w, chunk);
+  return w.take();
+}
+
 MeshMessage decode_mesh(std::span<const std::uint8_t> bytes) {
   return guarded([&] {
     ByteReader r(bytes);
@@ -271,7 +279,7 @@ MeshMessage decode_mesh(std::span<const std::uint8_t> bytes) {
   });
 }
 
-std::vector<DeltaChunk> chunk_delta(const store::DayDelta& delta,
+std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
                                     std::size_t max_rows) {
   if (max_rows == 0) max_rows = 1;
   std::vector<DeltaChunk> chunks;
@@ -285,15 +293,16 @@ std::vector<DeltaChunk> chunk_delta(const store::DayDelta& delta,
     chunk.degraded = delta.degraded;
     chunk.lost_sites = delta.lost_sites;
     chunk.canary_alarms = delta.canary_alarms;
-    std::size_t room = max_rows;
-    while (room > 0 && up < delta.upserts.size()) {
-      chunk.upserts.push_back(delta.upserts[up++]);
-      --room;
-    }
-    while (room > 0 && rm < delta.removals.size()) {
-      chunk.removals.push_back(delta.removals[rm++]);
-      --room;
-    }
+    const std::size_t ups = std::min(max_rows, delta.upserts.size() - up);
+    const std::size_t rms =
+        std::min(max_rows - ups, delta.removals.size() - rm);
+    chunk.upserts.assign(std::make_move_iterator(delta.upserts.begin() + up),
+                         std::make_move_iterator(delta.upserts.begin() + up +
+                                                 ups));
+    chunk.removals.assign(delta.removals.begin() + rm,
+                          delta.removals.begin() + rm + rms);
+    up += ups;
+    rm += rms;
     chunk.last = up == delta.upserts.size() && rm == delta.removals.size();
     chunks.push_back(std::move(chunk));
   } while (up < delta.upserts.size() || rm < delta.removals.size());

@@ -148,13 +148,17 @@ using MeshMessage =
 /// Tagged-body codec. decode_mesh throws serve::ProtocolError on an
 /// unknown tag, malformed body, or trailing bytes.
 std::vector<std::uint8_t> encode_mesh(const MeshMessage& message);
+/// The same bytes as encode_mesh(MeshMessage{chunk}), without copying the
+/// chunk into a message first.
+std::vector<std::uint8_t> encode_mesh(const DeltaChunk& chunk);
 MeshMessage decode_mesh(std::span<const std::uint8_t> bytes);
 
 /// Splits a day's delta into chunks of at most `max_rows` rows (upserts +
 /// removals). Always yields at least one chunk — an unchanged day still
 /// advances every subscriber's cursor. Chunking is deterministic, so a
-/// replayed day re-chunks to identical (day, seq) coordinates.
-std::vector<DeltaChunk> chunk_delta(const store::DayDelta& delta,
+/// replayed day re-chunks to identical (day, seq) coordinates. The rows
+/// move from `delta` into the chunks.
+std::vector<DeltaChunk> chunk_delta(store::DayDelta delta,
                                     std::size_t max_rows);
 
 /// Reassembles a chunk into the DayDelta slice a DeltaFollower applies.

@@ -34,14 +34,6 @@ std::vector<std::uint8_t> read_file(const std::filesystem::path& path,
   return bytes;
 }
 
-std::uint32_t count_anycast_detected(const census::DailyCensus& census) {
-  std::uint32_t n = 0;
-  for (const auto& [prefix, rec] : census.records) {
-    if (rec.anycast_based_detected()) ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 ArchiveWriter::ArchiveWriter(std::filesystem::path dir)
@@ -68,16 +60,18 @@ const ManifestEntry& ArchiveWriter::append(const census::DailyCensus& census) {
   }
 
   const auto segment = encode_segment(census);
+  // Rendered once: its size fills csv_bytes, and the commit hook gets it.
+  census::Publication publication = census::render_publication(census);
   ManifestEntry entry;
   entry.day = census.day;
   entry.degraded = census.degraded;
-  entry.record_count =
-      static_cast<std::uint32_t>(census.published_prefixes().size());
-  entry.anycast_detected = count_anycast_detected(census);
-  entry.gcd_confirmed =
-      static_cast<std::uint32_t>(census.gcd_confirmed_prefixes().size());
+  entry.record_count = static_cast<std::uint32_t>(publication.rows.size());
+  for (const auto& [prefix, rec] : census.records) {
+    if (rec.anycast_based_detected()) ++entry.anycast_detected;
+    if (rec.gcd_confirmed()) ++entry.gcd_confirmed;
+  }
   entry.segment_bytes = segment.size();
-  entry.csv_bytes = census::render_census(census).size();
+  entry.csv_bytes = publication.csv_bytes();
   entry.digest_hex = segment_digest_hex(segment);
   entry.file = segment_file_name(census.day);
 
@@ -90,7 +84,7 @@ const ManifestEntry& ArchiveWriter::append(const census::DailyCensus& census) {
   segment_bytes_->add(stored.segment_bytes);
   csv_bytes_->add(stored.csv_bytes);
   span.set_attr("segment_bytes", std::to_string(stored.segment_bytes));
-  if (commit_hook_) commit_hook_(stored, census);
+  if (commit_hook_) commit_hook_(stored, std::move(publication));
   return stored;
 }
 

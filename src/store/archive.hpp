@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "census/longitudinal.hpp"
+#include "census/output.hpp"
 #include "obs/metrics.hpp"
 #include "store/checkpoint.hpp"
 #include "store/manifest.hpp"
@@ -44,10 +45,12 @@ class ArchiveWriter {
 
   /// Called at the end of every successful append(), after the segment and
   /// manifest are durable — the day-commit hook the mesh pub/sub publisher
-  /// hangs off (src/mesh/). Runs on the appending thread; exceptions
-  /// propagate to the append() caller.
+  /// hangs off (src/mesh/). It receives the day's publication, which
+  /// append() rendered once to count csv_bytes, by value: the hook may keep
+  /// it. Runs on the appending thread; exceptions propagate to the append()
+  /// caller.
   using CommitHook =
-      std::function<void(const ManifestEntry&, const census::DailyCensus&)>;
+      std::function<void(const ManifestEntry&, census::Publication)>;
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   const Manifest& manifest() const { return manifest_; }

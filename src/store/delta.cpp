@@ -1,58 +1,59 @@
 #include "store/delta.hpp"
 
-#include <algorithm>
-#include <sstream>
 #include <stdexcept>
-
-#include "census/output.hpp"
 
 namespace laces::store {
 
-DayDelta compute_day_delta(const census::DailyCensus* prev,
-                           const census::DailyCensus& cur) {
+DayDelta compute_day_delta(const census::Publication* prev,
+                           const census::Publication& cur) {
   DayDelta delta;
-  delta.day = cur.day;
-  delta.degraded = cur.degraded;
-  delta.lost_sites = cur.lost_sites;
-  delta.canary_alarms = cur.canary_alarms;
+  delta.day = cur.header.day;
+  delta.degraded = cur.header.degraded;
+  delta.lost_sites = cur.header.lost_sites;
+  delta.canary_alarms = cur.header.canary_alarms;
 
-  // Render the previous publication once; lines are compared, not records,
-  // so a record change invisible to the CSV is (correctly) not a delta.
-  std::map<net::Prefix, std::string> prev_lines;
-  if (prev != nullptr) {
-    for (const auto& prefix : prev->published_prefixes()) {
-      prev_lines.emplace(prefix, census::to_csv(*prev->find(prefix)));
+  // Both row lists are sorted by prefix, so one merge pass finds every
+  // change, and upserts and removals come out sorted. Lines are compared,
+  // not records, so a record change invisible to the CSV is (correctly)
+  // not a delta.
+  static const std::vector<census::PublicationRow> kNone;
+  const auto& before = prev != nullptr ? prev->rows : kNone;
+  const auto& after = cur.rows;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() ||
+        (i < before.size() && before[i].prefix < after[j].prefix)) {
+      delta.removals.push_back(before[i++].prefix);
+    } else if (i == before.size() || after[j].prefix < before[i].prefix) {
+      delta.upserts.push_back(after[j++]);
+    } else {
+      if (before[i].line != after[j].line) delta.upserts.push_back(after[j]);
+      ++i;
+      ++j;
     }
   }
-
-  for (const auto& prefix : cur.published_prefixes()) {
-    std::string line = census::to_csv(*cur.find(prefix));
-    const auto it = prev_lines.find(prefix);
-    if (it == prev_lines.end() || it->second != line) {
-      delta.upserts.push_back(DeltaRow{prefix, std::move(line)});
-    }
-    if (it != prev_lines.end()) prev_lines.erase(it);
-  }
-  // Whatever survived in prev_lines was published yesterday but not today.
-  delta.removals.reserve(prev_lines.size());
-  for (const auto& [prefix, line] : prev_lines) {
-    delta.removals.push_back(prefix);
-  }
-  // published_prefixes() is sorted and std::map iterates in order, so both
-  // lists are already sorted; std::sort here would be a no-op.
   return delta;
 }
 
+DayDelta compute_day_delta(const census::DailyCensus* prev,
+                           const census::DailyCensus& cur) {
+  if (prev == nullptr) {
+    return compute_day_delta(nullptr, census::render_publication(cur));
+  }
+  const census::Publication before = census::render_publication(*prev);
+  return compute_day_delta(&before, census::render_publication(cur));
+}
+
 void DeltaFollower::apply(const DayDelta& delta) {
-  if (delta.day < day_) {
+  if (delta.day < header_.day) {
     throw std::runtime_error("delta follower: day " +
                              std::to_string(delta.day) +
-                             " arrived after day " + std::to_string(day_));
+                             " arrived after day " +
+                             std::to_string(header_.day));
   }
-  day_ = delta.day;
-  degraded_ = delta.degraded;
-  lost_sites_ = delta.lost_sites;
-  canary_alarms_ = delta.canary_alarms;
+  header_ = census::PublicationHeader{delta.day, delta.degraded,
+                                      delta.lost_sites, delta.canary_alarms};
   for (const auto& row : delta.upserts) {
     rows_[row.prefix] = row.line;
   }
@@ -62,17 +63,12 @@ void DeltaFollower::apply(const DayDelta& delta) {
 }
 
 std::string DeltaFollower::render() const {
-  std::ostringstream out;
-  out << "# LACeS census day " << day_ << "\n";
-  if (degraded_) {
-    out << "# degraded: lost_sites=" << lost_sites_
-        << " canary_alarms=" << canary_alarms_ << "\n";
-  }
-  out << census::csv_header() << "\n";
+  std::string out = census::render_header(header_);
   for (const auto& [prefix, line] : rows_) {
-    out << line << "\n";
+    out += line;
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace laces::store

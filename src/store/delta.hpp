@@ -23,15 +23,13 @@
 #include <vector>
 
 #include "census/census.hpp"
+#include "census/output.hpp"
 
 namespace laces::store {
 
-/// One new-or-changed publication row: the prefix and its exact CSV line.
-struct DeltaRow {
-  net::Prefix prefix;
-  std::string line;  // census::to_csv bytes for this day
-  bool operator==(const DeltaRow&) const = default;
-};
+/// One new-or-changed publication row: the prefix and its exact CSV line
+/// (census::to_csv bytes for this day).
+using DeltaRow = census::PublicationRow;
 
 /// Everything that changed between day `day`-1-as-archived and `day`.
 /// `prev == nullptr` (first archived day) makes every published row an
@@ -49,7 +47,12 @@ struct DayDelta {
 /// Diffs two census days in publication space. A prefix is an upsert when
 /// it is published in `cur` and either absent from `prev`'s publication or
 /// published with a different CSV line; a removal when published in `prev`
-/// but not in `cur`.
+/// but not in `cur`. One linear merge of the two sorted row lists; nothing
+/// is rendered.
+DayDelta compute_day_delta(const census::Publication* prev,
+                           const census::Publication& cur);
+
+/// Renders both days, then diffs them as above.
 DayDelta compute_day_delta(const census::DailyCensus* prev,
                            const census::DailyCensus& cur);
 
@@ -68,14 +71,11 @@ class DeltaFollower {
   /// Publication bytes for the most recently applied day.
   std::string render() const;
 
-  std::uint32_t day() const { return day_; }
+  std::uint32_t day() const { return header_.day; }
   std::size_t rows() const { return rows_.size(); }
 
  private:
-  std::uint32_t day_ = 0;
-  bool degraded_ = false;
-  std::uint16_t lost_sites_ = 0;
-  std::uint32_t canary_alarms_ = 0;
+  census::PublicationHeader header_;
   /// Ordered exactly like write_census's sorted published_prefixes().
   std::map<net::Prefix, std::string> rows_;
 };

@@ -16,10 +16,17 @@ namespace laces {
 /// 32-byte SHA-256 digest.
 using Sha256Digest = std::array<std::uint8_t, 32>;
 
-/// Incremental SHA-256 (FIPS 180-4).
+/// Incremental SHA-256 (FIPS 180-4). Whole runs of 64-byte blocks go to
+/// the compression kernel in one call; the default kernel uses the x86-64
+/// SHA extensions when the CPU has them (util/sha256_kernels.hpp).
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  /// Compresses `count` consecutive 64-byte blocks into `state`.
+  using Kernel = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                          std::size_t count);
+
+  Sha256();
+  explicit Sha256(Kernel kernel) : compress_(kernel) { reset(); }
 
   void reset();
   void update(std::span<const std::uint8_t> data);
@@ -36,8 +43,7 @@ class Sha256 {
   static Sha256Digest hash(std::string_view s);
 
  private:
-  void process_block(const std::uint8_t* block);
-
+  Kernel compress_;
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;

@@ -108,6 +108,11 @@ TEST(MeshPubSub, SubscriberReconstructsEveryDayByteIdentically) {
   // The real census pipeline is the publisher.
   const auto& world = laces::testing::shared_tiny_world();
   EventQueue events;
+  // The session and pipeline point the global tracer at `events`; unhook
+  // it before `events` dies so later tests' spans do not read a dead clock.
+  struct ClockReset {
+    ~ClockReset() { obs::Tracer::global().set_clock(nullptr); }
+  } clock_reset;
   topo::SimNetwork network(world, events);
   core::Session session(network, platform::make_production_deployment(world));
   census::PipelineConfig config;
@@ -261,6 +266,35 @@ TEST(MeshPubSub, LateJoinerReplaysFromArchiveWhenLogEvicted) {
   store::ArchiveReader reader(dir);
   ASSERT_EQ(follower.days(), 3u);
   for (std::uint32_t day = 1; day <= 3; ++day) {
+    EXPECT_EQ(follower.day_csv(day), archived_csv(reader, day))
+        << "day " << day;
+  }
+}
+
+// --- a publisher attached to a reopened archive diffs against its last day ---
+
+TEST(MeshPubSub, ReopenedArchiveIsTheDiffBase) {
+  const auto dir = fresh_dir("mesh_pubsub_reopened");
+  {
+    store::ArchiveWriter writer(dir);
+    for (std::uint32_t day = 1; day <= 3; ++day) writer.append(make_day(day));
+  }
+  store::ArchiveWriter writer(dir);
+  Relay origin(relay_config(1), nullptr, dir);
+  origin.attach_publisher(writer);
+  CensusFollower follower(origin);
+  std::size_t day4_removals = 0;
+  origin.subscribe_local({}, [&](const DeltaChunk& chunk) {
+    if (chunk.day == 4) day4_removals += chunk.removals.size();
+  });
+
+  // Day 4 drops prefixes day 3 published; only a diff against day 3 as
+  // archived removes them from the follower.
+  writer.append(make_day(4));
+  ASSERT_GT(day4_removals, 0u);
+  store::ArchiveReader reader(dir);
+  ASSERT_TRUE(follower.has_day(4));
+  for (std::uint32_t day = 1; day <= 4; ++day) {
     EXPECT_EQ(follower.day_csv(day), archived_csv(reader, day))
         << "day " << day;
   }

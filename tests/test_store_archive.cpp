@@ -146,6 +146,20 @@ TEST(StoreArchive, ExportCsvMatchesPublicationRender) {
   EXPECT_EQ(out.str(), census::render_census(census));
 }
 
+TEST(StoreArchive, CsvBytesIsTheRenderedPublicationSize) {
+  const auto dir = fresh_dir("archive_csv_bytes");
+  ArchiveWriter writer(dir);
+  const auto normal = make_day(1);
+  EXPECT_EQ(writer.append(normal).csv_bytes,
+            census::render_census(normal).size());
+  auto degraded = make_day(2, 6);
+  degraded.degraded = true;
+  degraded.lost_sites = 12;
+  degraded.canary_alarms = 3;
+  EXPECT_EQ(writer.append(degraded).csv_bytes,
+            census::render_census(degraded).size());
+}
+
 TEST(StoreArchive, ImportCsvBridgesPublicationFiles) {
   const auto census = make_day(9);
   const auto csv = census::render_census(census);
