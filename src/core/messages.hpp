@@ -114,6 +114,8 @@ struct ChunkAck {
   std::uint64_t next_seq = 0;
 };
 
+// The wire tag of a message is its variant index + 1: new messages append
+// at the END so every earlier tag keeps its bytes.
 using Message =
     std::variant<WorkerHello, HelloAck, StartMeasurement, SubmitMeasurement,
                  TargetChunk, EndOfTargets, ResultBatch, WorkerDone,
@@ -122,7 +124,8 @@ using Message =
 /// Serializes a message (type tag + payload).
 std::vector<std::uint8_t> encode_message(const Message& msg);
 
-/// Parses bytes back into a message. Throws DecodeError on malformed input.
+/// Parses bytes back into a message. Throws DecodeError on malformed input,
+/// an unknown tag or trailing bytes.
 Message decode_message(std::span<const std::uint8_t> bytes);
 
 }  // namespace laces::core

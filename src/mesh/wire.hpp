@@ -1,9 +1,9 @@
 // Mesh wire messages: the relay-to-relay plane carried in FrameKind::kMesh
 // frames (protocol version >= kMeshProtocolVersion).
 //
-// A mesh payload is a one-byte tag followed by a tagged body, encoded with
-// the same big-endian/varint conventions as the serve request/response
-// codecs. Three message families share the plane:
+// A mesh payload is a one-byte tag followed by the message body, encoded
+// by the same codec as the serve request/response bodies (net/codec.hpp).
+// Three message families share the plane:
 //
 //   handshake   Hello / Welcome / Reject — peer identity, version range
 //               negotiation and feed advertisement. Handshake frames are
@@ -30,19 +30,6 @@
 #include "store/delta.hpp"
 
 namespace laces::mesh {
-
-/// Message tags. Stable wire bytes; append only.
-enum class MeshTag : std::uint8_t {
-  kHello = 1,
-  kWelcome = 2,
-  kReject = 3,
-  kForward = 4,
-  kForwardReply = 5,
-  kSubscribe = 6,
-  kSubAck = 7,
-  kDelta = 8,
-  kDeltaAck = 9,
-};
 
 /// Connection opener: who I am and what I can speak.
 struct Hello {
@@ -141,6 +128,8 @@ struct DeltaAck {
   bool operator==(const DeltaAck&) const = default;
 };
 
+// The wire tag of a message is its variant index + 1 (net/codec.hpp):
+// append new messages at the END so every earlier tag keeps its bytes.
 using MeshMessage =
     std::variant<Hello, Welcome, Reject, Forward, ForwardReply, Subscribe,
                  SubAck, DeltaChunk, DeltaAck>;
@@ -173,7 +162,5 @@ bool prefix_covers(const net::Prefix& filter, const net::Prefix& p);
 /// still delivered so the subscriber's cursor stays continuous.
 DeltaChunk filter_chunk(const DeltaChunk& chunk, std::uint8_t family,
                         const std::vector<net::Prefix>& prefixes);
-
-std::string_view to_string(MeshTag tag);
 
 }  // namespace laces::mesh

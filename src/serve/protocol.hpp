@@ -123,9 +123,9 @@ struct MeshStatsRequest {
   bool operator==(const MeshStatsRequest&) const = default;
 };
 
-// New request types append at the END: RequestTag (protocol.cpp) is the
-// variant index + 1, so earlier tags — and every archived client — keep
-// their wire bytes.
+// New request types append at the END: the wire tag is the variant
+// index + 1 (net/codec.hpp), so earlier tags — and every archived client —
+// keep their wire bytes.
 using Request = std::variant<SummaryRequest, StabilityRequest, HistoryRequest,
                              IntermittentRequest, ExportDayRequest,
                              StatsRequest, LatencyRequest, TraceTailRequest,
@@ -150,6 +150,15 @@ enum class ErrorCode : std::uint8_t {
 };
 
 std::string_view to_string(ErrorCode code);
+
+/// True when `byte` names an ErrorCode (one to_string knows); decoders
+/// reject any other error-code byte.
+bool is_error_code(std::uint8_t byte);
+
+/// A subscription's family filter byte: 0 (both), 4 or 6.
+constexpr bool is_family_filter(std::uint8_t family) {
+  return family == 0 || family == 4 || family == 6;
+}
 
 struct ErrorResponse {
   ErrorCode code = ErrorCode::kBadRequest;

@@ -95,9 +95,10 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     cp.pipeline.at_list = get_prefix_list(r);
     cp.pipeline.partial = get_prefix_list(r);
     cp.pipeline.canary_days = r.varint();
-    const std::uint64_t canary_entries = r.varint();
+    // Each entry is a worker varint and an f64 share.
+    const std::size_t canary_entries = r.count(r.varint(), 9);
     cp.pipeline.canary_share_sums.reserve(canary_entries);
-    for (std::uint64_t i = 0; i < canary_entries; ++i) {
+    for (std::size_t i = 0; i < canary_entries; ++i) {
       const auto worker = static_cast<net::WorkerId>(r.varint());
       const double share = r.f64();
       cp.pipeline.canary_share_sums.emplace_back(worker, share);
@@ -112,9 +113,9 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     cp.longitudinal.anycast_counts = get_count_map(r);
     cp.longitudinal.gcd_counts = get_count_map(r);
 
-    const std::uint64_t workers = r.varint();
+    const std::size_t workers = r.count(r.varint(), 32);  // 4 x u64 each
     cp.worker_rng.reserve(workers);
-    for (std::uint64_t i = 0; i < workers; ++i) {
+    for (std::size_t i = 0; i < workers; ++i) {
       std::array<std::uint64_t, 4> state{};
       for (auto& word : state) word = r.u64();
       cp.worker_rng.push_back(state);

@@ -72,12 +72,13 @@ void put_prefix_list(ByteWriter& w, std::span<const net::Prefix> prefixes) {
 }
 
 std::vector<net::Prefix> get_prefix_list(ByteReader& r) {
-  const std::uint64_t count = r.varint();
+  // An entry takes at least two bytes: the family tag and one varint.
+  const std::size_t count = r.count(r.varint(), 2);
   std::vector<net::Prefix> out;
   out.reserve(count);
   std::uint64_t prev_v4 = 0;
   std::uint64_t prev_hi = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t tag = r.u8();
     if (tag == 4) {
       prev_v4 += static_cast<std::uint64_t>(r.svarint());

@@ -174,9 +174,9 @@ census::DailyCensus decode_segment(std::span<const std::uint8_t> bytes) {
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t count = r.varint();
+      const std::size_t count = r.count(r.varint(), 1);
       records[i].gcd_locations.reserve(count);
-      for (std::uint64_t c = 0; c < count; ++c) {
+      for (std::size_t c = 0; c < count; ++c) {
         records[i].gcd_locations.push_back(
             static_cast<geo::CityId>(r.varint()));
       }

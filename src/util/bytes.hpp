@@ -100,6 +100,17 @@ class ByteReader {
   /// Length-prefixed (u32) string.
   std::string str();
 
+  /// A list count `n` read from the input, checked before anything is
+  /// reserved for it: every element takes at least `min_bytes` encoded
+  /// bytes, so a count above remaining() / min_bytes cannot be honest.
+  std::size_t count(std::uint64_t n, std::size_t min_bytes) const {
+    if (n > remaining() / min_bytes) {
+      throw DecodeError("count " + std::to_string(n) +
+                        " exceeds the bytes left");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }
   std::size_t position() const { return pos_; }

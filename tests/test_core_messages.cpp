@@ -168,6 +168,10 @@ TEST(Messages, MalformedInputThrows) {
   auto bytes = encode_message(Message(WorkerHello{"long-worker-name"}));
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(decode_message(bytes), DecodeError);
+  // Trailing bytes after a complete message.
+  auto padded = encode_message(Message(Heartbeat{9, 2}));
+  padded.push_back(0);
+  EXPECT_THROW(decode_message(padded), DecodeError);
 }
 
 }  // namespace

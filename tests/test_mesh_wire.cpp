@@ -9,6 +9,7 @@
 
 #include "mesh/wire.hpp"
 #include "serve/protocol.hpp"
+#include "util/bytes.hpp"
 
 namespace laces::mesh {
 namespace {
@@ -82,6 +83,56 @@ TEST(MeshWire, RejectsStructuralDamage) {
       encode_mesh(MeshMessage{Subscribe{1, 0, 0, {}, false, Cursor{}}});
   subscribe[9] = 5;
   EXPECT_THROW(decode_mesh(subscribe), serve::ProtocolError);
+  // A prefix length beyond the family's width is a malformed body, not a
+  // broken precondition (tag, id, family, priority, one v4 prefix /33).
+  ByteWriter long_prefix;
+  long_prefix.u8(6);
+  long_prefix.u64(1);
+  long_prefix.u8(0);
+  long_prefix.u8(0);
+  long_prefix.varint(1);
+  long_prefix.u8(4);
+  long_prefix.u32(0x0a000000);
+  long_prefix.u8(33);
+  long_prefix.u8(0);
+  long_prefix.u32(0);
+  long_prefix.u32(0);
+  EXPECT_THROW(decode_mesh(long_prefix.view()), serve::ProtocolError);
+  // Inflated list counts fail as ProtocolError before anything is
+  // reserved for them.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 27, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 62}) {
+    ByteWriter prefixes;  // Subscribe: tag, id, family, priority, count
+    prefixes.u8(6);
+    prefixes.u64(1);
+    prefixes.u8(0);
+    prefixes.u8(0);
+    prefixes.varint(count);
+    EXPECT_THROW(decode_mesh(prefixes.view()), serve::ProtocolError)
+        << "subscribe prefixes " << count;
+    // DeltaChunk: tag, day, seq, last, degraded, lost_sites, canary_alarms.
+    const auto chunk_header = [] {
+      ByteWriter w;
+      w.u8(8);
+      w.u32(12);
+      w.u32(0);
+      w.u8(1);
+      w.u8(0);
+      w.u16(0);
+      w.u32(0);
+      return w;
+    };
+    ByteWriter upserts = chunk_header();
+    upserts.varint(count);
+    EXPECT_THROW(decode_mesh(upserts.view()), serve::ProtocolError)
+        << "delta upserts " << count;
+    ByteWriter removals = chunk_header();
+    removals.varint(0);
+    removals.varint(count);
+    EXPECT_THROW(decode_mesh(removals.view()), serve::ProtocolError)
+        << "delta removals " << count;
+  }
 }
 
 TEST(MeshWire, FrameEnvelopeAuthenticatesAndGatesVersion) {

@@ -7,6 +7,7 @@
 
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "util/bytes.hpp"
 
 namespace laces::serve {
 namespace {
@@ -134,6 +135,54 @@ TEST(ServeProtocol, MalformedBodiesAreProtocolErrors) {
   EXPECT_THROW(decode_request(std::vector<std::uint8_t>{0xff}), ProtocolError);
   EXPECT_THROW(decode_response(std::vector<std::uint8_t>{}), ProtocolError);
   EXPECT_THROW(decode_response(std::vector<std::uint8_t>{0xff}),
+               ProtocolError);
+  // Inflated list counts fail as ProtocolError before anything is reserved
+  // for them. Each body is a response tag, the fields before the list, and
+  // the count, with no elements after it.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 27, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 62}) {
+    const auto body = [count](std::uint8_t tag, auto&& fields) {
+      ByteWriter w;
+      w.u8(tag);
+      fields(w);
+      w.varint(count);
+      return w.take();
+    };
+    const auto none = [](ByteWriter&) {};
+    const auto mesh_header = [](ByteWriter& w) {
+      w.u64(1);  // node_id
+      w.str("");
+      w.u32(0);  // feed_day
+      w.u32(0);  // feed_seq
+      for (int i = 0; i < 8; ++i) w.varint(0);
+    };
+    const std::vector<std::pair<const char*, std::vector<std::uint8_t>>>
+        bodies = {
+            {"history days", body(4, [](ByteWriter& w) {
+               w.u8(4);
+               w.u32(0x0a000000);
+               w.u8(24);
+             })},
+            {"intermittent anycast", body(5, none)},
+            {"intermittent gcd",
+             body(5, [](ByteWriter& w) { w.varint(0); })},
+            {"latency stages", body(8, none)},
+            {"trace spans", body(9, none)},
+            {"flightrec events", body(10, none)},
+            {"mesh peers", body(11, mesh_header)},
+            {"mesh subscriptions", body(11, [&](ByteWriter& w) {
+               mesh_header(w);
+               w.varint(0);
+             })},
+        };
+    for (const auto& [what, bytes] : bodies) {
+      EXPECT_THROW(decode_response(bytes), ProtocolError)
+          << what << " " << count;
+    }
+  }
+  // A prefix length beyond the family's width is a malformed body.
+  EXPECT_THROW(decode_request(std::vector<std::uint8_t>{3, 4, 10, 0, 0, 0, 33}),
                ProtocolError);
 }
 

@@ -329,6 +329,28 @@ TEST(StoreArchive, CheckpointRoundTrips) {
   EXPECT_THROW(decode_checkpoint(corrupt), ArchiveError);
 }
 
+TEST(StoreArchive, InflatedCheckpointCountsAreRejected) {
+  // In a default checkpoint the canary-share count is byte 26 (8-byte
+  // header, last day, sim time, then six one-byte varints) and the
+  // worker-RNG count is the payload byte before the empty run-config string.
+  const auto bytes = encode_checkpoint(Checkpoint{});
+  const std::size_t payload = bytes.size() - 32;
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 27, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 62}) {
+    for (const std::size_t at : {std::size_t{26}, payload - 5}) {
+      ASSERT_EQ(bytes[at], 0);
+      ByteWriter w;
+      w.bytes(std::span(bytes.data(), at));
+      w.varint(count);
+      w.bytes(std::span(bytes.data() + at + 1, payload - at - 1));
+      put_sha256_footer(w);
+      EXPECT_THROW(decode_checkpoint(w.view()), ArchiveError)
+          << "count " << count << " at byte " << at;
+    }
+  }
+}
+
 TEST(StoreArchive, CheckpointPersistsThroughWriterAndReader) {
   const auto dir = fresh_dir("archive_checkpoint");
   ArchiveWriter writer(dir);

@@ -174,5 +174,31 @@ TEST(StoreSegment, BadVerdictCodeIsRejected) {
   EXPECT_THROW(decode_segment(w.view()), ArchiveError);
 }
 
+TEST(StoreSegment, InflatedCountsAreRejected) {
+  // One record with no GCD locations and no anycast targets: the record's
+  // location count is the second-to-last payload byte. The published
+  // prefix count follows the 20-byte header (both probe counts are 0).
+  census::DailyCensus census;
+  auto rec = make_record(v4(10, 1, 1));
+  rec.gcd_locations = {};
+  census.records.emplace(rec.prefix, rec);
+  const auto bytes = encode_segment(census);
+  const std::size_t payload = bytes.size() - 32;
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 27, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 62}) {
+    for (const std::size_t at : {std::size_t{20}, payload - 2}) {
+      ASSERT_EQ(bytes[at], at == 20 ? 1 : 0);  // one prefix, no cities
+      ByteWriter w;
+      w.bytes(std::span(bytes.data(), at));
+      w.varint(count);
+      w.bytes(std::span(bytes.data() + at + 1, payload - at - 1));
+      put_sha256_footer(w);
+      EXPECT_THROW(decode_segment(w.view()), ArchiveError)
+          << "count " << count << " at byte " << at;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace laces::store
