@@ -4,22 +4,18 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 
-#include "census/longitudinal.hpp"
 #include "census/output.hpp"
 #include "census/pipeline.hpp"
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/platform.hpp"
-#include "scenario/runner.hpp"
-#include "store/archive.hpp"
+#include "scenario/series.hpp"
 #include "topo/network.hpp"
 #include "util/sha256.hpp"
 
@@ -99,112 +95,6 @@ class Watchdog {
   std::thread thread_;
 };
 
-std::vector<std::uint8_t> slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
-}
-
-struct CensusResult {
-  std::vector<std::string> day_csv;  // index = day; unrun days stay empty
-  std::vector<bool> day_degraded;
-  census::StabilityStats anycast;
-  census::StabilityStats gcd;
-  std::size_t worker_count = 0;
-  std::uint64_t regimes_applied = 0;
-  std::uint64_t worker_outages = 0;
-  /// First per-day longitudinal invariant violation, if any.
-  std::optional<std::string> violation;
-
-  std::string digest() const {
-    std::string all;
-    for (const auto& csv : day_csv) all += csv;
-    return to_hex(Sha256::hash(all));
-  }
-};
-
-/// One simulated "process" under a scenario: the same stack and resume
-/// sequence as run_series in tests/test_store_resume.cpp (which mirrors
-/// cmd_census), plus the ScenarioRunner bracketing each day.
-CensusResult run_census(const topo::World& world, const Scenario* scenario,
-                        std::uint32_t total_days, double targets_per_second,
-                        const fs::path* archive_dir, bool resume) {
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  obs::Tracer::global().reset();
-
-  EventQueue events;
-  topo::SimNetwork network(world, events);
-  core::Session session(network, platform::make_production_deployment(world));
-  census::PipelineConfig config;
-  config.targets_per_second = targets_per_second;
-  census::Pipeline pipeline(network, session,
-                            platform::make_ark(world, 20, 0xa),
-                            platform::make_ark(world, 12, 0xb), config);
-  std::optional<ScenarioRunner> runner;
-  if (scenario != nullptr) runner.emplace(*scenario, session);
-
-  census::LongitudinalStore longitudinal;
-  std::uint32_t start_day = 1;
-  SimTime resumed_clock = SimTime::epoch();
-  if (resume) {
-    store::ArchiveReader reader(*archive_dir);
-    const store::Checkpoint cp = reader.load_checkpoint();
-    events.schedule_at(SimTime(cp.sim_time_ns), [] {});
-    events.run();
-    pipeline.restore_state(cp.pipeline);
-    for (std::size_t i = 0;
-         i < cp.worker_rng.size() && i < session.worker_count(); ++i) {
-      session.worker(i).restore_rng_state(cp.worker_rng[i]);
-    }
-    obs::Tracer::global().set_next_id(cp.next_span_id);
-    longitudinal = census::LongitudinalStore::from_snapshot(cp.longitudinal);
-    start_day = cp.last_day + 1;
-    resumed_clock = SimTime(cp.sim_time_ns);
-  }
-  std::optional<store::ArchiveWriter> archive;
-  if (archive_dir != nullptr) archive.emplace(*archive_dir);
-  // On resume, lifecycle faults that fired (and healed) before the
-  // checkpoint must not replay — exactly what the CLI does.
-  if (runner) runner->install(resumed_clock);
-
-  CensusResult out;
-  out.worker_count = session.worker_count();
-  out.day_csv.resize(total_days + 1);
-  out.day_degraded.resize(total_days + 1, false);
-  for (std::uint32_t day = start_day; day <= total_days; ++day) {
-    if (runner) runner->begin_day(day);
-    const auto daily = pipeline.run_day(day);
-    if (runner) runner->end_day();
-    out.day_csv[day] = census::render_census(daily);
-    out.day_degraded[day] = daily.degraded;
-    longitudinal.add(daily);
-    if (const auto err = longitudinal.check_invariants()) {
-      out.violation = "day " + std::to_string(day) + ": " + *err;
-      break;
-    }
-    if (archive) {
-      archive->append(daily);
-      store::Checkpoint cp;
-      cp.last_day = daily.day;
-      cp.sim_time_ns = events.now().ns();
-      cp.next_span_id = obs::Tracer::global().next_id();
-      cp.pipeline = pipeline.state();
-      cp.longitudinal = longitudinal.snapshot();
-      for (std::size_t i = 0; i < session.worker_count(); ++i) {
-        cp.worker_rng.push_back(session.worker(i).rng_state());
-      }
-      archive->write_checkpoint(cp);
-    }
-  }
-  out.anycast = longitudinal.anycast_based_stability();
-  out.gcd = longitudinal.gcd_stability();
-  if (runner) {
-    out.regimes_applied = runner->regimes_applied();
-    out.worker_outages = runner->worker_outages();
-  }
-  return out;
-}
-
 /// The degraded-day accounting invariants, checked per seed.
 std::optional<std::string> check_accounting(const CensusResult& r,
                                             const Scenario& scenario,
@@ -231,32 +121,56 @@ std::optional<std::string> check_accounting(const CensusResult& r,
   return std::nullopt;
 }
 
-std::optional<std::string> compare_archives(const fs::path& a,
-                                            const fs::path& b,
-                                            std::uint32_t days) {
-  if (slurp(a / store::kManifestFile) != slurp(b / store::kManifestFile)) {
-    return std::string("archive manifests differ");
-  }
-  if (slurp(a / store::kCheckpointFile) != slurp(b / store::kCheckpointFile)) {
-    return std::string("final checkpoints differ");
-  }
-  for (std::uint32_t day = 1; day <= days; ++day) {
-    const auto name = store::segment_file_name(day);
-    if (slurp(a / name) != slurp(b / name)) {
-      return "segment " + name + " differs";
+}  // namespace
+
+CensusResult run_census(const topo::World& world, const Scenario* scenario,
+                        std::uint32_t total_days, double targets_per_second,
+                        const fs::path* archive_dir, bool resume) {
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  obs::Tracer::global().reset();
+
+  EventQueue events;
+  topo::SimNetwork network(world, events);
+  core::Session session(network, platform::make_production_deployment(world));
+  census::PipelineConfig config;
+  config.targets_per_second = targets_per_second;
+  census::Pipeline pipeline(network, session,
+                            platform::make_ark(world, 20, 0xa),
+                            platform::make_ark(world, 12, 0xb), config);
+  std::optional<ScenarioRunner> runner;
+  if (scenario != nullptr) runner.emplace(*scenario, session);
+  CensusSeries series(
+      session, pipeline, runner ? &*runner : nullptr,
+      SeriesArchive{archive_dir ? *archive_dir : fs::path(), resume, ""});
+
+  CensusResult out;
+  out.worker_count = session.worker_count();
+  out.day_csv.resize(total_days + 1);
+  out.day_degraded.resize(total_days + 1, false);
+  while (series.next_day() <= total_days) {
+    const auto day = series.run_day();
+    out.day_csv[day.census.day] = census::render_census(day.census);
+    out.day_degraded[day.census.day] = day.census.degraded;
+    if (const auto err = series.longitudinal().check_invariants()) {
+      out.violation = "day " + std::to_string(day.census.day) + ": " + *err;
+      break;
     }
   }
-  return std::nullopt;
+  out.anycast = series.longitudinal().anycast_based_stability();
+  out.gcd = series.longitudinal().gcd_stability();
+  if (runner) {
+    out.regimes_applied = runner->regimes_applied();
+    out.worker_outages = runner->worker_outages();
+  }
+  return out;
 }
 
-fs::path fresh_dir(const fs::path& base, const std::string& name) {
-  const fs::path dir = base / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
+std::string CensusResult::digest() const {
+  std::string all;
+  for (const auto& csv : day_csv) all += csv;
+  return to_hex(Sha256::hash(all));
 }
-
-}  // namespace
 
 topo::WorldConfig FuzzOptions::default_fuzz_world_config() {
   // The test suite's tiny world: ~100 v4 prefixes, every deployment family
@@ -353,8 +267,12 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
         i % options.resume_check_every == 0) {
       ++summary.resume_checks;
       const std::string tag = "seed-" + std::to_string(seed);
-      const auto golden_dir = fresh_dir(options.work_dir, tag + "-golden");
-      const auto killed_dir = fresh_dir(options.work_dir, tag + "-killed");
+      const auto golden_dir = options.work_dir / (tag + "-golden");
+      const auto killed_dir = options.work_dir / (tag + "-killed");
+      // A leftover archive would refuse a fresh series; the series makes
+      // the directories.
+      fs::remove_all(golden_dir);
+      fs::remove_all(killed_dir);
       const auto golden =
           run_census(world, &scenario, options.days,
                      options.targets_per_second, &golden_dir, false);

@@ -21,9 +21,11 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "census/longitudinal.hpp"
 #include "scenario/scenario.hpp"
 #include "topo/world.hpp"
 
@@ -71,6 +73,28 @@ struct FuzzSummary {
 
   bool ok() const { return failures.empty(); }
 };
+
+struct CensusResult {
+  std::vector<std::string> day_csv;  // index = day; unrun days stay empty
+  std::vector<bool> day_degraded;
+  census::StabilityStats anycast;
+  census::StabilityStats gcd;
+  std::size_t worker_count = 0;
+  std::uint64_t regimes_applied = 0;
+  std::uint64_t worker_outages = 0;
+  /// First per-day longitudinal invariant violation, if any.
+  std::optional<std::string> violation;
+
+  std::string digest() const;
+};
+
+/// One simulated "process" of the sweep: a fresh census stack over
+/// `world` running a CensusSeries up to `total_days`, under `scenario`
+/// when given, archived into (and, with `resume`, resumed from)
+/// `archive_dir` when given. Resets the global metrics and tracer first.
+CensusResult run_census(const topo::World& world, const Scenario* scenario,
+                        std::uint32_t total_days, double targets_per_second,
+                        const std::filesystem::path* archive_dir, bool resume);
 
 /// Runs the sweep. Pure function of (options) — same options, same
 /// verdicts. The watchdog aborts the process (exit 124) on a hang, since

@@ -5,8 +5,9 @@
 // the simulated clock, the tracer's span-id cursor, the pipeline's
 // cross-day state (persistent AT list, partial flags, measurement-id and
 // GCD-run counters, canary baseline) and the incremental counters of the
-// LongitudinalStore. `laces census --archive DIR --resume` restores all of
-// it and re-runs from the next day; with the same world seed the continued
+// LongitudinalStore. scenario::CensusSeries captures and restores all of
+// it (for `laces census --archive DIR --resume`, the fuzzer and the tests)
+// and re-runs from the next day; with the same world seed the continued
 // series is byte-identical to one that never died (tested against golden
 // digests, including under injected faults).
 #pragma once
@@ -37,10 +38,11 @@ struct Checkpoint {
   /// census — only reproduce if the resumed workers continue it.
   std::vector<std::array<std::uint64_t, 4>> worker_rng;
   /// Canonical run-identity string (world scale, seeds, fault and scenario
-  /// specs) stamped by the CLI. `--resume` refuses to continue when the
-  /// resuming invocation's identity differs — a different world or fault
-  /// plan would silently diverge from the archived prefix. Empty when the
-  /// writer did not record one (library users); then the guard is skipped.
+  /// specs) of `laces census`, stamped by scenario::CensusSeries. A resume
+  /// is refused when the resuming run's identity differs — a different
+  /// world or fault plan would silently diverge from the archived prefix.
+  /// Empty when the series was opened without one; then the guard is
+  /// skipped.
   std::string run_config;
 
   bool operator==(const Checkpoint&) const = default;

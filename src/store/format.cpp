@@ -47,6 +47,15 @@ net::Ipv4Prefix unpack_v4(std::uint64_t key) {
       static_cast<std::uint8_t>(key & 0xFF));
 }
 
+/// A length the file claims but no prefix can have is corruption that
+/// passed the footer check, not a broken caller contract.
+void check_prefix_length(std::uint64_t length, std::uint64_t max) {
+  if (length > max) {
+    throw ArchiveError("prefix list: bad prefix length " +
+                       std::to_string(length));
+  }
+}
+
 }  // namespace
 
 void put_prefix_list(ByteWriter& w, std::span<const net::Prefix> prefixes) {
@@ -82,12 +91,15 @@ std::vector<net::Prefix> get_prefix_list(ByteReader& r) {
     const std::uint8_t tag = r.u8();
     if (tag == 4) {
       prev_v4 += static_cast<std::uint64_t>(r.svarint());
+      check_prefix_length(prev_v4 & 0xFF, 32);
       out.push_back(unpack_v4(prev_v4));
     } else if (tag == 6) {
       prev_hi += static_cast<std::uint64_t>(r.svarint());
       const std::uint64_t lo = r.varint();
-      const auto len = static_cast<std::uint8_t>(r.varint());
-      out.push_back(net::Ipv6Prefix(net::Ipv6Address(prev_hi, lo), len));
+      const std::uint64_t len = r.varint();
+      check_prefix_length(len, 128);
+      out.push_back(net::Ipv6Prefix(net::Ipv6Address(prev_hi, lo),
+                                    static_cast<std::uint8_t>(len)));
     } else {
       throw ArchiveError("prefix list: bad family tag " +
                          std::to_string(tag));

@@ -7,13 +7,12 @@
 #include <string>
 
 #include "census/output.hpp"
+#include "support.hpp"
 
 namespace laces::census {
 namespace {
 
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::v4;
 
 DailyCensus parse_str(const std::string& text) {
   std::istringstream in(text);

@@ -16,9 +16,6 @@
 // versus no injector at all (the hook itself is semantically free).
 #include <gtest/gtest.h>
 
-#include <set>
-#include <tuple>
-
 #include "core/session.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -29,6 +26,8 @@
 
 namespace laces::fault {
 namespace {
+
+using laces::testing::duplicate_records;
 
 constexpr std::uint64_t kPlans = 56;  // >= 50 per the robustness bar
 
@@ -55,19 +54,6 @@ std::uint64_t results_digest(const core::MeasurementResults& results) {
     h.mix(static_cast<std::uint64_t>(rec.rx_time.ns()));
   }
   return h.value();
-}
-
-std::size_t duplicate_records(const core::MeasurementResults& results) {
-  std::set<std::tuple<std::uint64_t, std::uint16_t, std::uint16_t, int>> seen;
-  std::size_t dups = 0;
-  for (const auto& rec : results.records) {
-    if (!rec.tx_worker) continue;
-    const auto key =
-        std::make_tuple(net::hash_value(rec.target), rec.rx_worker,
-                        *rec.tx_worker, static_cast<int>(rec.protocol));
-    if (!seen.insert(key).second) ++dups;
-  }
-  return dups;
 }
 
 /// One full measurement under `plan` (or fault-free when null).

@@ -2,9 +2,7 @@
 // (paper R5 "robustness" beyond the happy path).
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
-#include <tuple>
 
 #include "census/output.hpp"
 #include "core/classify.hpp"
@@ -16,6 +14,8 @@
 
 namespace laces::core {
 namespace {
+
+using laces::testing::duplicate_records;
 
 /// Drop every frame in both directions: the link looks up but is dead —
 /// the hung-peer case only heartbeat liveness can detect.
@@ -38,21 +38,6 @@ void duplicate_link(const std::array<std::shared_ptr<Channel>, 2>& link) {
       return fate;
     });
   }
-}
-
-/// Result records that collide on (target, rx, tx, protocol) — the record
-/// identity the CLI dedups on. Must be zero after any run.
-std::size_t duplicate_records(const MeasurementResults& results) {
-  std::set<std::tuple<std::uint64_t, std::uint16_t, std::uint16_t, int>> seen;
-  std::size_t dups = 0;
-  for (const auto& rec : results.records) {
-    if (!rec.tx_worker) continue;
-    const auto key =
-        std::make_tuple(net::hash_value(rec.target), rec.rx_worker,
-                        *rec.tx_worker, static_cast<int>(rec.protocol));
-    if (!seen.insert(key).second) ++dups;
-  }
-  return dups;
 }
 
 class FailureTest : public ::testing::Test {

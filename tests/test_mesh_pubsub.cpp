@@ -34,21 +34,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c,
-               std::uint8_t len = 24) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), len);
-}
-
-net::Prefix v6(std::uint64_t hi, std::uint8_t len = 48) {
-  return net::Ipv6Prefix(net::Ipv6Address(hi, 0), len);
-}
+using laces::testing::fresh_dir;
+using laces::testing::v4;
+using laces::testing::v6;
 
 /// Synthetic census with both families and day-varying membership, so
 /// consecutive deltas carry upserts *and* removals.

@@ -19,22 +19,15 @@
 #include "scenario/scenario.hpp"
 #include "serve/server.hpp"
 #include "store/archive.hpp"
+#include "support.hpp"
 
 namespace laces::mesh {
 namespace {
 
 namespace fs = std::filesystem;
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::fresh_dir;
+using laces::testing::v4;
 
 census::DailyCensus make_day(std::uint32_t day, std::uint32_t spread = 4) {
   census::DailyCensus census;

@@ -10,18 +10,13 @@
 #include "mesh/wire.hpp"
 #include "serve/protocol.hpp"
 #include "util/bytes.hpp"
+#include "support.hpp"
 
 namespace laces::mesh {
 namespace {
 
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c,
-               std::uint8_t len = 24) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), len);
-}
-
-net::Prefix v6(std::uint64_t hi, std::uint8_t len = 48) {
-  return net::Ipv6Prefix(net::Ipv6Address(hi, 0), len);
-}
+using laces::testing::v4;
+using laces::testing::v6;
 
 std::vector<MeshMessage> sample_messages() {
   Hello hello{7, "origin", 1, 2, true};

@@ -6,28 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "census/longitudinal.hpp"
-#include "census/output.hpp"
-#include "census/pipeline.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "platform/platform.hpp"
 #include "scenario/fuzzer.hpp"
-#include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
-#include "store/archive.hpp"
+#include "scenario/series.hpp"
 #include "support.hpp"
 
 namespace laces::scenario {
 namespace {
 
 namespace fs = std::filesystem;
+using laces::testing::fresh_dir;
 
 std::string parse_error(const char* spec) {
   try {
@@ -139,93 +132,15 @@ constexpr const char* kFullSpec =
     "throttle@0s:p=0.2,site=1;"
     "skew@0s:proto=tcp,site=0";
 
-struct SeriesResult {
-  std::vector<std::string> day_csv;
-  std::uint64_t regimes_applied = 0;
-};
-
-/// One simulated process, optionally under a scenario, optionally
-/// archiving/resuming. Mirrors run_series in tests/test_store_resume.cpp
-/// plus the ScenarioRunner day bracketing.
-SeriesResult run_series(const Scenario* scenario, std::uint32_t total_days,
+/// One simulated process, as the fuzzer runs it, on the test suite's tiny
+/// world; every day must keep the longitudinal invariants.
+CensusResult run_series(const Scenario* scenario, std::uint32_t total_days,
                         const fs::path* archive_dir = nullptr,
                         bool resume = false) {
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  obs::Tracer::global().reset();
-
-  const auto& world = laces::testing::shared_tiny_world();
-  EventQueue events;
-  topo::SimNetwork network(world, events);
-  core::Session session(network, platform::make_production_deployment(world));
-  census::PipelineConfig config;
-  config.targets_per_second = 50000;
-  census::Pipeline pipeline(network, session,
-                            platform::make_ark(world, 20, 0xa),
-                            platform::make_ark(world, 12, 0xb), config);
-  std::optional<ScenarioRunner> runner;
-  if (scenario != nullptr) runner.emplace(*scenario, session);
-
-  census::LongitudinalStore longitudinal;
-  std::uint32_t start_day = 1;
-  SimTime resumed_clock = SimTime::epoch();
-  if (resume) {
-    store::ArchiveReader reader(*archive_dir);
-    EXPECT_TRUE(reader.has_checkpoint());
-    const store::Checkpoint cp = reader.load_checkpoint();
-    events.schedule_at(SimTime(cp.sim_time_ns), [] {});
-    events.run();
-    pipeline.restore_state(cp.pipeline);
-    for (std::size_t i = 0;
-         i < cp.worker_rng.size() && i < session.worker_count(); ++i) {
-      session.worker(i).restore_rng_state(cp.worker_rng[i]);
-    }
-    obs::Tracer::global().set_next_id(cp.next_span_id);
-    longitudinal = census::LongitudinalStore::from_snapshot(cp.longitudinal);
-    start_day = cp.last_day + 1;
-    resumed_clock = SimTime(cp.sim_time_ns);
-  }
-  std::optional<store::ArchiveWriter> archive;
-  if (archive_dir != nullptr) archive.emplace(*archive_dir);
-  if (runner) runner->install(resumed_clock);
-
-  SeriesResult out;
-  out.day_csv.resize(total_days + 1);
-  for (std::uint32_t day = start_day; day <= total_days; ++day) {
-    if (runner) runner->begin_day(day);
-    const auto daily = pipeline.run_day(day);
-    if (runner) runner->end_day();
-    out.day_csv[day] = census::render_census(daily);
-    longitudinal.add(daily);
-    EXPECT_EQ(longitudinal.check_invariants(), std::nullopt);
-    if (archive) {
-      archive->append(daily);
-      store::Checkpoint cp;
-      cp.last_day = daily.day;
-      cp.sim_time_ns = events.now().ns();
-      cp.next_span_id = obs::Tracer::global().next_id();
-      cp.pipeline = pipeline.state();
-      cp.longitudinal = longitudinal.snapshot();
-      for (std::size_t i = 0; i < session.worker_count(); ++i) {
-        cp.worker_rng.push_back(session.worker(i).rng_state());
-      }
-      archive->write_checkpoint(cp);
-    }
-  }
-  if (runner) out.regimes_applied = runner->regimes_applied();
-  return out;
-}
-
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-std::vector<std::uint8_t> slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
+  auto result = run_census(laces::testing::shared_tiny_world(), scenario,
+                           total_days, 50000, archive_dir, resume);
+  EXPECT_EQ(result.violation, std::nullopt);
+  return result;
 }
 
 TEST(ScenarioRunner, EmptyScenarioIsAnExactNoop) {
@@ -260,14 +175,7 @@ TEST(ScenarioRunner, KilledAndResumedScenarioSeriesIsByteIdentical) {
     EXPECT_EQ(resumed.day_csv[day], golden.day_csv[day]) << "day " << day;
     EXPECT_FALSE(golden.day_csv[day].empty());
   }
-  EXPECT_EQ(slurp(golden_dir / store::kManifestFile),
-            slurp(killed_dir / store::kManifestFile));
-  EXPECT_EQ(slurp(golden_dir / store::kCheckpointFile),
-            slurp(killed_dir / store::kCheckpointFile));
-  for (std::uint32_t day = 1; day <= kDays; ++day) {
-    const auto name = store::segment_file_name(day);
-    EXPECT_EQ(slurp(golden_dir / name), slurp(killed_dir / name)) << name;
-  }
+  EXPECT_EQ(compare_archives(golden_dir, killed_dir, kDays), std::nullopt);
 }
 
 TEST(ScenarioFuzzer, MiniSweepFindsNoViolations) {

@@ -18,15 +18,14 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "store/archive.hpp"
+#include "support.hpp"
 
 namespace laces::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::v4;
 
 census::DailyCensus make_day(std::uint32_t day) {
   census::DailyCensus census;
@@ -42,9 +41,7 @@ census::DailyCensus make_day(std::uint32_t day) {
 }
 
 fs::path build_archive(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const fs::path dir = laces::testing::fresh_dir(name);
   store::ArchiveWriter writer(dir);
   for (std::uint32_t day = 1; day <= 2; ++day) writer.append(make_day(day));
   return dir;

@@ -11,6 +11,7 @@
 
 #include "serve/cache.hpp"
 #include "store/archive.hpp"
+#include "support.hpp"
 
 namespace laces::serve {
 namespace {
@@ -110,12 +111,7 @@ TEST(ServeCache, ConcurrentMixedWorkloadKeepsExactCounters) {
 
 // --- concurrent ArchiveReader (the layer below the response cache) ---
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using laces::testing::fresh_dir;
 
 census::DailyCensus make_day(std::uint32_t day) {
   census::DailyCensus census;

@@ -8,13 +8,12 @@
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "util/bytes.hpp"
+#include "support.hpp"
 
 namespace laces::serve {
 namespace {
 
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::v4;
 
 TEST(ServeProtocol, RequestRoundTripsEveryKind) {
   const std::vector<Request> requests = {

@@ -24,22 +24,15 @@
 #include "serve/json.hpp"
 #include "serve/server.hpp"
 #include "store/query.hpp"
+#include "support.hpp"
 
 namespace laces::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::fresh_dir;
+using laces::testing::v4;
 
 /// Synthetic census day. Prefix 10.0.<i>.0/24 for i < spread; prefix
 /// content varies with the day so histories are non-trivial.

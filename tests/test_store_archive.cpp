@@ -13,23 +13,16 @@
 #include "census/output.hpp"
 #include "store/archive.hpp"
 #include "store/query.hpp"
+#include "support.hpp"
 
 namespace laces::store {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// A fresh per-test scratch directory (removed and recreated each call).
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::fresh_dir;
+using laces::testing::slurp;
+using laces::testing::v4;
 
 /// One synthetic census day; every record is published so the archived
 /// segment preserves it verbatim. `spread` varies content across days.
@@ -53,11 +46,6 @@ census::DailyCensus make_day(std::uint32_t day, std::uint32_t spread = 4) {
     census.records.emplace(rec.prefix, rec);
   }
   return census;
-}
-
-std::vector<std::uint8_t> slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
 }
 
 TEST(StoreArchive, AppendLoadRoundTrip) {
@@ -348,6 +336,42 @@ TEST(StoreArchive, InflatedCheckpointCountsAreRejected) {
       EXPECT_THROW(decode_checkpoint(w.view()), ArchiveError)
           << "count " << count << " at byte " << at;
     }
+  }
+}
+
+TEST(StoreArchive, ImpossiblePrefixLengthsAreArchiveErrors) {
+  // Hand-built checkpoint and segment files with correct footers whose one
+  // prefix claims a length no prefix has: v4 /40, v6 /129, and a v6 length
+  // varint of 300 (44 once narrowed to a byte). Each read reports
+  // corruption as ArchiveError, the only error the archive's callers catch.
+  const auto dir = fresh_dir("archive_prefix_length");
+  ArchiveWriter(dir).append(make_day(1, /*spread=*/0));
+  // A default checkpoint's AT-list count is byte 23, three before the
+  // canary-share count above; the empty day's anycast-target list count is
+  // its last payload byte.
+  const auto checkpoint = encode_checkpoint(Checkpoint{});
+  const auto segment = slurp(dir / segment_file_name(1));
+  ASSERT_EQ(checkpoint[23], 0);
+  ASSERT_EQ(segment[segment.size() - 33], 0);
+  const std::pair<std::uint8_t, std::uint64_t> bad[] = {
+      {4, 40}, {6, 129}, {6, 300}};
+  for (const auto& [family, length] : bad) {
+    SCOPED_TRACE("v" + std::to_string(family) + " /" + std::to_string(length));
+    write_file_atomic(
+        dir / kCheckpointFile,
+        laces::testing::with_one_prefix(checkpoint, 23, family, length),
+        "checkpoint");
+    const auto seg = laces::testing::with_one_prefix(
+        segment, segment.size() - 33, family, length);
+    write_file_atomic(dir / segment_file_name(1), seg, "segment");
+    auto manifest = Manifest::load(dir / kManifestFile);
+    manifest.entries[0].digest_hex = segment_digest_hex(seg);
+    manifest.save(dir / kManifestFile);
+
+    ArchiveReader reader(dir);
+    EXPECT_THROW(reader.load_checkpoint(), ArchiveError);
+    EXPECT_THROW(reader.load_day(1), ArchiveError);
+    EXPECT_EQ(reader.verify().size(), 1u);
   }
 }
 

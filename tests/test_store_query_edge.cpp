@@ -11,22 +11,15 @@
 #include "store/archive.hpp"
 #include "store/format.hpp"
 #include "store/query.hpp"
+#include "support.hpp"
 
 namespace laces::store {
 namespace {
 
 namespace fs = std::filesystem;
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
+using laces::testing::fresh_dir;
+using laces::testing::v4;
 
 /// Day with prefixes 10.0.<i>.0/24 for i < spread (same prefixes each day,
 /// so a smaller spread makes later prefixes absent, not shifted).

@@ -7,12 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "census/longitudinal.hpp"
 #include "census/output.hpp"
 #include "census/pipeline.hpp"
 #include "fault/fault_plan.hpp"
@@ -20,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/platform.hpp"
+#include "scenario/series.hpp"
 #include "store/archive.hpp"
 #include "support.hpp"
 
@@ -28,17 +28,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("laces_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using laces::testing::fresh_dir;
+using laces::testing::slurp;
 
-std::vector<std::uint8_t> slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
-}
+/// Stamped into every checkpoint the series below write.
+constexpr const char* kRunIdentity = "tiny-world;rate=50000";
 
 struct SeriesResult {
   /// render_census per day (index = day; unrun days stay empty).
@@ -47,13 +41,13 @@ struct SeriesResult {
   census::StabilityStats gcd;
 };
 
-/// One simulated "process": builds the whole measurement stack fresh (the
-/// way the CLI does), optionally resumes from the archive's checkpoint,
-/// runs the remaining days and archives each one. Mirrors cmd_census in
-/// tools/laces_cli.cpp — the contract under test is that a fresh process
-/// plus the checkpoint reproduces the uninterrupted timeline.
+/// One simulated "process": builds the whole measurement stack fresh and
+/// runs an archived scenario::CensusSeries over it, optionally resuming
+/// from the archive's checkpoint. The contract under test is that a fresh
+/// process plus the checkpoint reproduces the uninterrupted timeline.
 SeriesResult run_series(const fs::path& archive_dir, std::uint32_t total_days,
-                        bool resume, const char* fault_spec = nullptr) {
+                        bool resume, const char* fault_spec = nullptr,
+                        const char* run_identity = kRunIdentity) {
   obs::set_enabled(true);
   obs::Registry::global().reset();
   obs::Tracer::global().reset();
@@ -73,58 +67,18 @@ SeriesResult run_series(const fs::path& archive_dir, std::uint32_t total_days,
     injector->install(session);
   }
 
-  ArchiveWriter archive(archive_dir);
-  census::LongitudinalStore longitudinal;
-  std::uint32_t start_day = 1;
-  if (resume) {
-    ArchiveReader reader(archive_dir);
-    EXPECT_TRUE(reader.has_checkpoint());
-    const Checkpoint cp = reader.load_checkpoint();
-    // Clock first: schedule_at clamps to now(), so draining one no-op
-    // parked at the checkpointed time advances the queue exactly there.
-    events.schedule_at(SimTime(cp.sim_time_ns), [] {});
-    events.run();
-    pipeline.restore_state(cp.pipeline);
-    for (std::size_t i = 0;
-         i < cp.worker_rng.size() && i < session.worker_count(); ++i) {
-      session.worker(i).restore_rng_state(cp.worker_rng[i]);
-    }
-    obs::Tracer::global().set_next_id(cp.next_span_id);
-    longitudinal = census::LongitudinalStore::from_snapshot(cp.longitudinal);
-    start_day = cp.last_day + 1;
-  }
-
+  scenario::CensusSeries series(
+      session, pipeline, nullptr,
+      scenario::SeriesArchive{archive_dir, resume, run_identity});
   SeriesResult out;
   out.day_csv.resize(total_days + 1);
-  for (std::uint32_t day = start_day; day <= total_days; ++day) {
-    const auto daily = pipeline.run_day(day);
-    out.day_csv[day] = census::render_census(daily);
-    longitudinal.add(daily);
-    archive.append(daily);
-    Checkpoint cp;
-    cp.last_day = daily.day;
-    cp.sim_time_ns = events.now().ns();
-    cp.next_span_id = obs::Tracer::global().next_id();
-    cp.pipeline = pipeline.state();
-    cp.longitudinal = longitudinal.snapshot();
-    for (std::size_t i = 0; i < session.worker_count(); ++i) {
-      cp.worker_rng.push_back(session.worker(i).rng_state());
-    }
-    archive.write_checkpoint(cp);
+  while (series.next_day() <= total_days) {
+    const auto day = series.run_day().census;
+    out.day_csv[day.day] = census::render_census(day);
   }
-  out.anycast = longitudinal.anycast_based_stability();
-  out.gcd = longitudinal.gcd_stability();
+  out.anycast = series.longitudinal().anycast_based_stability();
+  out.gcd = series.longitudinal().gcd_stability();
   return out;
-}
-
-void expect_archives_identical(const fs::path& a, const fs::path& b,
-                               std::uint32_t days) {
-  EXPECT_EQ(slurp(a / kManifestFile), slurp(b / kManifestFile));
-  EXPECT_EQ(slurp(a / kCheckpointFile), slurp(b / kCheckpointFile));
-  for (std::uint32_t day = 1; day <= days; ++day) {
-    const auto name = segment_file_name(day);
-    EXPECT_EQ(slurp(a / name), slurp(b / name)) << name;
-  }
 }
 
 TEST(StoreResume, KilledAndResumedSeriesIsByteIdentical) {
@@ -146,7 +100,8 @@ TEST(StoreResume, KilledAndResumedSeriesIsByteIdentical) {
   }
   EXPECT_EQ(resumed.anycast, golden.anycast);
   EXPECT_EQ(resumed.gcd, golden.gcd);
-  expect_archives_identical(golden_dir, killed_dir, kDays);
+  EXPECT_EQ(scenario::compare_archives(golden_dir, killed_dir, kDays),
+            std::nullopt);
 }
 
 TEST(StoreResume, ResumeAfterHealedFaultsMatchesUninterrupted) {
@@ -168,7 +123,8 @@ TEST(StoreResume, ResumeAfterHealedFaultsMatchesUninterrupted) {
   EXPECT_FALSE(golden.day_csv[3].empty());
   EXPECT_EQ(resumed.anycast, golden.anycast);
   EXPECT_EQ(resumed.gcd, golden.gcd);
-  expect_archives_identical(golden_dir, killed_dir, kDays);
+  EXPECT_EQ(scenario::compare_archives(golden_dir, killed_dir, kDays),
+            std::nullopt);
 }
 
 TEST(StoreResume, DegradedDayAccountingSurvivesResume) {
@@ -194,7 +150,35 @@ TEST(StoreResume, DegradedDayAccountingSurvivesResume) {
   EXPECT_EQ(resumed.anycast.days, kDays - 1);
   EXPECT_EQ(resumed.anycast, golden.anycast);
   EXPECT_EQ(resumed.gcd, golden.gcd);
-  expect_archives_identical(golden_dir, killed_dir, kDays);
+  EXPECT_EQ(scenario::compare_archives(golden_dir, killed_dir, kDays),
+            std::nullopt);
+}
+
+TEST(StoreResume, RefusedOpensLeaveTheArchiveUntouched) {
+  // The three ways an archived series refuses to open: resuming under
+  // another run identity, resuming without a checkpoint, and starting a
+  // fresh series over archived days. Each throws before writing anything.
+  const auto dir = fresh_dir("resume_guard");
+  run_series(dir, /*total_days=*/1, /*resume=*/false);
+  const auto pristine = fresh_dir("resume_guard_pristine");
+  fs::copy(dir, pristine, fs::copy_options::recursive);
+  const auto no_checkpoint = fresh_dir("resume_guard_no_checkpoint");
+  fs::copy(dir, no_checkpoint, fs::copy_options::recursive);
+  fs::remove(no_checkpoint / kCheckpointFile);
+
+  EXPECT_THROW(run_series(dir, 2, /*resume=*/true, nullptr, "other-identity"),
+               scenario::SeriesRefused);
+  EXPECT_THROW(run_series(dir, 2, /*resume=*/false), scenario::SeriesRefused);
+  EXPECT_THROW(run_series(no_checkpoint, 2, /*resume=*/true),
+               scenario::SeriesRefused);
+
+  EXPECT_EQ(scenario::compare_archives(dir, pristine, 1), std::nullopt);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), {}), 3);
+  EXPECT_EQ(slurp(no_checkpoint / kManifestFile),
+            slurp(pristine / kManifestFile));
+  EXPECT_EQ(slurp(no_checkpoint / segment_file_name(1)),
+            slurp(pristine / segment_file_name(1)));
+  EXPECT_EQ(std::distance(fs::directory_iterator(no_checkpoint), {}), 2);
 }
 
 // --- LongitudinalStore: incremental counters vs. the recompute reference ---

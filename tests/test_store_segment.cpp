@@ -6,17 +6,13 @@
 #include <vector>
 
 #include "store/segment.hpp"
+#include "support.hpp"
 
 namespace laces::store {
 namespace {
 
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), 24);
-}
-
-net::Prefix v6(std::uint64_t hi) {
-  return net::Ipv6Prefix(net::Ipv6Address(hi, 0), 48);
-}
+using laces::testing::v4;
+using laces::testing::v6;
 
 census::PrefixRecord make_record(net::Prefix prefix) {
   census::PrefixRecord rec;
@@ -198,6 +194,26 @@ TEST(StoreSegment, InflatedCountsAreRejected) {
           << "count " << count << " at byte " << at;
     }
   }
+}
+
+TEST(StoreSegment, ImpossiblePrefixLengthsAreArchiveErrors) {
+  // An empty segment whose anycast-target list (the last payload byte)
+  // gets one hand-written prefix, under a correct footer.
+  const auto empty = encode_segment(census::DailyCensus{});
+  const std::size_t at = empty.size() - 33;
+  ASSERT_EQ(empty[at], 0);
+  const auto decode = [&](std::uint8_t family, std::uint64_t length) {
+    return decode_segment(
+        laces::testing::with_one_prefix(empty, at, family, length));
+  };
+  // The longest real lengths decode...
+  EXPECT_EQ(decode(4, 32).anycast_targets.at(0).v4().length(), 32);
+  EXPECT_EQ(decode(6, 128).anycast_targets.at(0).v6().length(), 128);
+  // ...longer ones are corruption, including a v6 length that a byte
+  // would silently narrow (300 -> 44).
+  EXPECT_THROW(decode(4, 40), ArchiveError);
+  EXPECT_THROW(decode(6, 129), ArchiveError);
+  EXPECT_THROW(decode(6, 300), ArchiveError);
 }
 
 }  // namespace

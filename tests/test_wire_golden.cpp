@@ -13,9 +13,13 @@
 #include "core/messages.hpp"
 #include "mesh/wire.hpp"
 #include "serve/protocol.hpp"
+#include "support.hpp"
 
 namespace laces {
 namespace {
+
+using laces::testing::v4;
+using laces::testing::v6;
 
 std::string hex(const std::vector<std::uint8_t>& bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -26,15 +30,6 @@ std::string hex(const std::vector<std::uint8_t>& bytes) {
     out.push_back(kDigits[b & 0xF]);
   }
   return out;
-}
-
-net::Prefix v4(std::uint8_t a, std::uint8_t b, std::uint8_t c,
-               std::uint8_t len = 24) {
-  return net::Ipv4Prefix(net::Ipv4Address(a, b, c, 0), len);
-}
-
-net::Prefix v6(std::uint64_t hi, std::uint8_t len = 48) {
-  return net::Ipv6Prefix(net::Ipv6Address(hi, 0), len);
 }
 
 // --- control plane (core::Message) ---

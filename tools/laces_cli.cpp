@@ -55,6 +55,7 @@
 #include "scenario/fuzzer.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/series.hpp"
 #include "serve/json.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
@@ -176,6 +177,19 @@ std::string census_run_identity(const Args& args) {
   return id;
 }
 
+/// The fault plan or scenario named by --KEY: parsed from its spec with
+/// `seed`, or generated from `seed` for `random`. Throws
+/// std::invalid_argument on a bad spec.
+template <typename Plan, typename GenerateOptions>
+Plan plan_from_args(const Args& args, const char* key, std::uint64_t seed,
+                    std::size_t sites) {
+  const auto spec = args.get(key, "");
+  if (spec != "random" && spec != "true") return Plan::parse(spec, seed);
+  GenerateOptions opts;
+  opts.sites = static_cast<int>(sites);
+  return Plan::generate(seed, opts);
+}
+
 int cmd_census(const Args& args) {
   const auto world = topo::World::generate(world_config(args));
   EventQueue events;
@@ -212,61 +226,38 @@ int cmd_census(const Args& args) {
                             platform::make_ark(world, 80, 0x163),
                             platform::make_ark(world, 40, 0x118), config);
 
-  // Optional deterministic fault injection: --faults '<spec>' layers
-  // scheduled faults onto the control plane; --faults random generates a
-  // plan from --fault-seed. The run stays a pure function of (seed, plan).
+  // Optional control-plane faults (--faults, seeded by --fault-seed) and an
+  // operational-realism scenario of platform churn and data-plane regimes
+  // (--scenario, seeded by --scenario-seed); the run stays a pure function
+  // of its seeds and specs. The CensusSeries installs the scenario once any
+  // --resume state is restored.
   std::optional<fault::FaultInjector> injector;
-  if (args.has("faults")) {
-    const auto seed =
-        static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
-    const auto spec = args.get("faults", "");
-    fault::FaultPlan plan;
-    try {
-      if (spec == "random" || spec == "true") {
-        fault::GenerateOptions opts;
-        opts.sites = static_cast<int>(session.worker_count());
-        plan = fault::FaultPlan::generate(seed, opts);
-      } else {
-        plan = fault::FaultPlan::parse(spec, seed);
-      }
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "laces census: %s\n", e.what());
-      return 2;
-    }
-    injector.emplace(std::move(plan));
-    injector->install(session);
-    std::printf("fault plan (seed %llu):\n%s",
-                static_cast<unsigned long long>(seed),
-                injector->plan().describe().c_str());
-  }
-
-  // Optional operational-realism scenario: --scenario '<spec>' composes
-  // platform churn and data-plane regimes (plus an embedded fault plan) on
-  // one timeline; --scenario random generates one from --scenario-seed.
-  // Installation is deferred past the --resume block so a resumed run can
-  // skip lifecycle faults that healed before the checkpoint.
   std::optional<scenario::ScenarioRunner> scenario_runner;
-  if (args.has("scenario")) {
-    const auto sseed =
-        static_cast<std::uint64_t>(args.get_int("scenario-seed", 0));
-    const auto sspec = args.get("scenario", "");
-    scenario::Scenario scen;
-    try {
-      if (sspec == "random" || sspec == "true") {
-        scenario::GenerateOptions opts;
-        opts.sites = static_cast<int>(session.worker_count());
-        scen = scenario::Scenario::generate(sseed, opts);
-      } else {
-        scen = scenario::Scenario::parse(sspec, sseed);
-      }
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "laces census: %s\n", e.what());
-      return 2;
+  try {
+    if (args.has("faults")) {
+      const auto seed =
+          static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
+      injector.emplace(plan_from_args<fault::FaultPlan, fault::GenerateOptions>(
+          args, "faults", seed, session.worker_count()));
+      injector->install(session);
+      std::printf("fault plan (seed %llu):\n%s",
+                  static_cast<unsigned long long>(seed),
+                  injector->plan().describe().c_str());
     }
-    scenario_runner.emplace(std::move(scen), session);
-    std::printf("scenario (seed %llu):\n%s",
-                static_cast<unsigned long long>(sseed),
-                scenario_runner->scenario().describe().c_str());
+    if (args.has("scenario")) {
+      const auto seed =
+          static_cast<std::uint64_t>(args.get_int("scenario-seed", 0));
+      scenario_runner.emplace(
+          plan_from_args<scenario::Scenario, scenario::GenerateOptions>(
+              args, "scenario", seed, session.worker_count()),
+          session);
+      std::printf("scenario (seed %llu):\n%s",
+                  static_cast<unsigned long long>(seed),
+                  scenario_runner->scenario().describe().c_str());
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "laces census: %s\n", e.what());
+    return 2;
   }
 
   const auto out_dir = std::filesystem::path(args.get("out", "census-out"));
@@ -276,121 +267,65 @@ int cmd_census(const Args& args) {
   // a columnar segment plus a resume checkpoint. --resume restores the
   // checkpointed clock/pipeline/longitudinal state and continues the series
   // at the next day; --days is the total series length in both modes.
-  std::optional<store::ArchiveWriter> archive;
-  census::LongitudinalStore longitudinal;
-  long start_day = 1;
-  SimTime resumed_clock = SimTime::epoch();
-  const std::string run_identity = census_run_identity(args);
-  if (args.has("archive")) {
-    try {
-      archive.emplace(std::filesystem::path(args.get("archive", "archive")));
-      if (args.has("resume")) {
-        store::ArchiveReader reader(archive->dir());
-        if (!reader.has_checkpoint()) {
-          std::fprintf(stderr,
-                       "laces census: --resume but %s has no checkpoint\n",
-                       archive->dir().string().c_str());
-          return 2;
-        }
-        const store::Checkpoint cp = reader.load_checkpoint();
-        if (!cp.run_config.empty() && cp.run_config != run_identity) {
-          std::fprintf(stderr,
-                       "laces census: --resume refused: the archive was "
-                       "written with different options (archived '%s', "
-                       "requested '%s')\n",
-                       cp.run_config.c_str(), run_identity.c_str());
-          return 2;
-        }
-        // Restore the simulated clock first: schedule_at clamps to now(),
-        // so draining one no-op parked at the checkpointed time advances
-        // the queue exactly there.
-        events.schedule_at(SimTime(cp.sim_time_ns), [] {});
-        events.run();
-        pipeline.restore_state(cp.pipeline);
-        for (std::size_t i = 0;
-             i < cp.worker_rng.size() && i < session.worker_count(); ++i) {
-          session.worker(i).restore_rng_state(cp.worker_rng[i]);
-        }
-        obs::Tracer::global().set_next_id(cp.next_span_id);
-        longitudinal =
-            census::LongitudinalStore::from_snapshot(cp.longitudinal);
-        start_day = static_cast<long>(cp.last_day) + 1;
-        resumed_clock = SimTime(cp.sim_time_ns);
-        std::printf("resuming after day %u (sim clock %.1fs, %zu healthy "
-                    "days archived)\n",
-                    cp.last_day, SimTime(cp.sim_time_ns).to_seconds(),
-                    longitudinal.days());
-      } else if (!archive->manifest().entries.empty()) {
-        std::fprintf(stderr,
-                     "laces census: archive %s already holds days up to %u; "
-                     "pass --resume to continue it\n",
-                     archive->dir().string().c_str(),
-                     archive->manifest().last_day());
-        return 2;
-      }
-    } catch (const store::ArchiveError& e) {
-      std::fprintf(stderr, "laces census: %s\n", e.what());
-      return 1;
-    }
+  std::optional<scenario::CensusSeries> series;
+  try {
+    series.emplace(session, pipeline,
+                   scenario_runner ? &*scenario_runner : nullptr,
+                   scenario::SeriesArchive{args.get("archive", ""),
+                                           args.has("resume"),
+                                           census_run_identity(args)});
+  } catch (const scenario::SeriesRefused& e) {
+    std::fprintf(stderr, "laces census: %s\n", e.what());
+    return 2;
+  } catch (const store::ArchiveError& e) {
+    std::fprintf(stderr, "laces census: %s\n", e.what());
+    return 1;
   }
-
-  // Lifecycle faults that fired (and healed) before the checkpoint are in
-  // the resumed run's past and must not replay.
-  if (scenario_runner) scenario_runner->install(resumed_clock);
+  if (args.has("archive") && args.has("resume")) {
+    std::printf("resuming after day %u (sim clock %.1fs, %zu healthy "
+                "days archived)\n",
+                series->next_day() - 1, series->resumed_clock().to_seconds(),
+                series->longitudinal().days());
+  }
 
   const long days = args.get_int("days", 1);
-  for (long day = start_day; day <= days; ++day) {
-    if (scenario_runner) {
-      scenario_runner->begin_day(static_cast<std::uint32_t>(day));
-    }
-    const auto daily = pipeline.run_day(static_cast<std::uint32_t>(day));
-    if (scenario_runner) scenario_runner->end_day();
-    const auto path =
-        out_dir / ("census-day-" + std::to_string(day) + ".csv");
-    std::ofstream file(path);
-    census::write_census(file, daily);
-    std::string health = "ok";
-    if (daily.degraded) {
-      health = "DEGRADED (lost_sites=" + std::to_string(daily.lost_sites) +
-               ", canary_alarms=" + std::to_string(daily.canary_alarms) + ")";
-    }
-    std::printf("day %ld [%s]: %zu ATs, %zu GCD-confirmed, published %zu -> "
-                "%s (probes: %llu anycast + %llu GCD)\n",
-                day, health.c_str(), daily.anycast_targets.size(),
-                daily.gcd_confirmed_prefixes().size(),
-                daily.published_prefixes().size(), path.string().c_str(),
-                static_cast<unsigned long long>(daily.anycast_probes_sent),
-                static_cast<unsigned long long>(daily.gcd_probes_sent));
-    if (archive) {
-      try {
-        longitudinal.add(daily);
-        const auto& entry = archive->append(daily);
-        store::Checkpoint cp;
-        cp.last_day = daily.day;
-        cp.sim_time_ns = events.now().ns();
-        cp.next_span_id = obs::Tracer::global().next_id();
-        cp.pipeline = pipeline.state();
-        cp.longitudinal = longitudinal.snapshot();
-        cp.run_config = run_identity;
-        cp.worker_rng.reserve(session.worker_count());
-        for (std::size_t i = 0; i < session.worker_count(); ++i) {
-          cp.worker_rng.push_back(session.worker(i).rng_state());
-        }
-        archive->write_checkpoint(cp);
-        frec.record(obs::FrEvent::kCheckpoint, 0, daily.day);
+  try {
+    while (static_cast<long>(series->next_day()) <= days) {
+      const auto run = series->run_day();
+      const auto& daily = run.census;
+      const auto path =
+          out_dir / ("census-day-" + std::to_string(daily.day) + ".csv");
+      std::ofstream file(path);
+      census::write_census(file, daily);
+      std::string health = "ok";
+      if (daily.degraded) {
+        health = "DEGRADED (lost_sites=" + std::to_string(daily.lost_sites) +
+                 ", canary_alarms=" + std::to_string(daily.canary_alarms) +
+                 ")";
+      }
+      std::printf("day %u [%s]: %zu ATs, %zu GCD-confirmed, published %zu "
+                  "-> %s (probes: %llu anycast + %llu GCD)\n",
+                  daily.day, health.c_str(), daily.anycast_targets.size(),
+                  daily.gcd_confirmed_prefixes().size(),
+                  daily.published_prefixes().size(), path.string().c_str(),
+                  static_cast<unsigned long long>(daily.anycast_probes_sent),
+                  static_cast<unsigned long long>(daily.gcd_probes_sent));
+      if (const auto* entry = run.archived) {
         std::printf("  archived %s (%llu bytes, csv %llu, sha256 %.12s...)\n",
-                    entry.file.c_str(),
-                    static_cast<unsigned long long>(entry.segment_bytes),
-                    static_cast<unsigned long long>(entry.csv_bytes),
-                    entry.digest_hex.c_str());
-      } catch (const store::ArchiveError& e) {
-        std::fprintf(stderr, "laces census: %s\n", e.what());
-        return 1;
+                    entry->file.c_str(),
+                    static_cast<unsigned long long>(entry->segment_bytes),
+                    static_cast<unsigned long long>(entry->csv_bytes),
+                    entry->digest_hex.c_str());
       }
     }
+  } catch (const store::ArchiveError& e) {
+    std::fprintf(stderr, "laces census: %s\n", e.what());
+    return 1;
   }
 
-  if (archive && longitudinal.days() + longitudinal.degraded_days() > 0) {
+  const auto& longitudinal = series->longitudinal();
+  if (args.has("archive") &&
+      longitudinal.days() + longitudinal.degraded_days() > 0) {
     const auto anycast = longitudinal.anycast_based_stability();
     const auto gcd = longitudinal.gcd_stability();
     std::printf("longitudinal (%zu healthy days, %zu degraded): "
